@@ -5,6 +5,7 @@ family group with every automorphism, both classification routes); it runs
 once as a session fixture and most criteria read from it.
 """
 
+import hashlib
 import json
 import time
 
@@ -214,14 +215,23 @@ def test_criterion_9_trace_identity(sweep12):
     announce(9, f"trace identity holds for all {checked} found involutions")
 
 
+# The report stream of `catalog --max-order 12` for symq 0.1.0, the same
+# digest the benchmark pins; a version bump or a change to a report re-pins it.
+CATALOG12_SHA256 = "03b12598194d49b17e0295417de28b42daa24bc81529259d71e6facdf66479cf"
+CATALOG12_SUMMARY = (
+    "catalog: 364 entries, 7 hypothesis-met, 0 agreement failures, 0 budget notes\n"
+)
+
+
 def test_criterion_10_catalog_determinism(tmp_path, capsys):
     a = tmp_path / "run_a.jsonl"
     b = tmp_path / "run_b.jsonl"
     assert main(["catalog", "--max-order", "12", "--out", str(a)]) == 0
     assert main(["catalog", "--max-order", "12", "--out", str(b)]) == 0
-    capsys.readouterr()
+    err = capsys.readouterr().err
+    assert err == CATALOG12_SUMMARY * 2
     bytes_a = a.read_bytes()
     assert bytes_a == b.read_bytes()
-    assert len(bytes_a) > 0
+    assert hashlib.sha256(bytes_a).hexdigest() == CATALOG12_SHA256
     with capsys.disabled():
         announce(10, f"two full catalog runs byte-identical ({len(bytes_a)} bytes)")
