@@ -11,7 +11,6 @@ from .__about__ import __version__
 from .budget import DEFAULT_SEARCH_BUDGET, SearchBudget, resolve_budget
 from .catalog import (
     CatalogEntry,
-    CatalogLimits,
     abelian_invariant_chains,
     catalog_entries,
     catalog_family,
@@ -67,7 +66,6 @@ from .groups import (
     validate_group,
 )
 from .involutions import (
-    GoodInvolution,
     InvolutionViolation,
     SqClassification,
     SymmetricQuandle,

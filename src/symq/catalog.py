@@ -15,37 +15,19 @@ from dataclasses import dataclass
 
 from .budget import SearchBudget, resolve_budget
 from .errors import SearchBudgetExceeded
-from .groups import (
-    FiniteGroup,
-    GroupAutomorphism,
-    alternating_group,
-    dihedral_group,
-    enumerate_automorphisms,
-    fixed_two_torsion,
-    quaternion_group,
-    symmetric_group,
-)
-from .involutions import _enumerate_rhos, cross_check_sq
-from .quandles import galex, inner_orbits, kei_witness
-from .report import quandle_report
+from .groups import FiniteGroup, GroupAutomorphism, enumerate_automorphisms
+from .involutions import SqClassification, _analyze
+from .quandles import galex
+from .report import _analysis_report
 from .specs import build_group
 
 __all__ = [
-    "CatalogLimits",
     "CatalogEntry",
     "catalog_family",
     "abelian_invariant_chains",
     "run_catalog",
     "entry_report",
 ]
-
-
-@dataclass(frozen=True)
-class CatalogLimits:
-    """Soft size limits; when one binds, the report notes it and skips the step."""
-
-    oracle_max_order: int = 64
-    pairwise_max_order: int = 16
 
 
 @dataclass(frozen=True)
@@ -86,23 +68,20 @@ def catalog_family(
     max_order: int, include_extras: bool = False
 ) -> list[tuple[str, FiniteGroup]]:
     """Deterministic (label, group) list for the sweep, ascending by order."""
-    family: list[tuple[str, FiniteGroup]] = []
+    labels: list[str] = []
     for order in range(1, max_order + 1):
-        for chain in abelian_invariant_chains(order):
-            spec = _abelian_spec(chain)
-            family.append((spec, build_group(spec)))
+        labels.extend(_abelian_spec(chain) for chain in abelian_invariant_chains(order))
         if order % 2 == 0 and order >= 6:
-            m = order // 2
-            family.append((f"dihedral:{m}", dihedral_group(m)))
+            labels.append(f"dihedral:{order // 2}")
         if order == 6:
-            family.append(("symmetric:3", symmetric_group(3)))
+            labels.append("symmetric:3")
         if order == 8:
-            family.append(("quaternion", quaternion_group()))
+            labels.append("quaternion")
         if order == 12 and include_extras:
-            family.append(("alternating:4", alternating_group(4)))
+            labels.append("alternating:4")
     if include_extras and max_order >= 12:
-        family.append(("symmetric:4", symmetric_group(4)))
-    return family
+        labels.append("symmetric:4")
+    return [(label, build_group(label)) for label in labels]
 
 
 def catalog_entries(
@@ -115,91 +94,27 @@ def catalog_entries(
     return entries
 
 
+def _entry_analysis(entry: CatalogEntry, budget: int | None) -> SqClassification:
+    return _analyze(
+        galex(entry.group, entry.aut),
+        SearchBudget(budget),
+        oracle=True,
+        theorem=True,
+        classify=True,
+    )
+
+
 def entry_report(
     entry: CatalogEntry,
     budget: int | None = None,
-    limits: CatalogLimits = CatalogLimits(),
     elapsed_ms: int | None = None,
 ) -> dict:
     """Full cross-checked report for one (group, automorphism) pair.
 
-    Budget exhaustion and binding size limits never raise out of here; they
-    leave the affected fields null and explain themselves in the notes.
+    Budget exhaustion never raises out of here; it leaves the route fields
+    null and explains itself in the notes.
     """
-    group, aut = entry.group, entry.aut
-    q = galex(group, aut)
-    witness = kei_witness(q)
-    part = inner_orbits(q)
-    fixed = list(fixed_two_torsion(group, aut).members)
-
-    involutions: list[list[int]] | None = None
-    brute_count: int | None = None
-    theorem_count: int | None = None
-    agreement: bool | None = None
-    notes: list[str] = []
-
-    if q.order > limits.oracle_max_order:
-        notes.append(
-            f"enumeration skipped: order {q.order} exceeds the oracle limit "
-            f"{limits.oracle_max_order}"
-        )
-    elif q.order > limits.pairwise_max_order:
-        notes.append(
-            f"classification skipped: order {q.order} exceeds the pairwise "
-            f"limit {limits.pairwise_max_order}"
-        )
-        try:
-            rhos = _enumerate_rhos(q, SearchBudget(budget))
-            involutions = [list(p) for p in rhos]
-        except SearchBudgetExceeded as exc:
-            notes.append(f"enumeration aborted: {exc}")
-    else:
-        try:
-            result = cross_check_sq(group, aut, budget)
-            involutions = [list(p) for p in result.good_involutions]
-            brute_count = result.bruteforce_count
-            theorem_count = result.theorem_count
-            agreement = result.agreement
-            notes.extend(result.notes)
-        except SearchBudgetExceeded as exc:
-            notes.append(f"cross-check aborted: {exc}")
-
-    return quandle_report(
-        group_spec=entry.label,
-        order=q.order,
-        automorphism=list(aut.perm),
-        is_kei=witness is None,
-        kei_witness=None if witness is None else list(witness),
-        is_connected=part.count == 1,
-        orbit_count=part.count,
-        good_involutions=involutions,
-        fixed_two_torsion=fixed,
-        sq_classes_bruteforce=brute_count,
-        sq_classes_theorem=theorem_count,
-        agreement=agreement,
-        notes=notes,
-        elapsed_ms=elapsed_ms,
-    )
-
-
-def _group_only_report(label: str, group: FiniteGroup, detail: str) -> dict:
-    """Placeholder entry when automorphism enumeration itself ran out of budget."""
-    return quandle_report(
-        group_spec=label,
-        order=group.order,
-        automorphism=None,
-        is_kei=None,
-        kei_witness=None,
-        is_connected=None,
-        orbit_count=None,
-        good_involutions=None,
-        fixed_two_torsion=None,
-        sq_classes_bruteforce=None,
-        sq_classes_theorem=None,
-        agreement=None,
-        notes=[f"automorphism enumeration aborted: {detail}"],
-        elapsed_ms=None,
-    )
+    return _analysis_report(_entry_analysis(entry, budget), entry.label, elapsed_ms)
 
 
 def run_catalog(
@@ -207,13 +122,13 @@ def run_catalog(
     *,
     include_extras: bool = False,
     budget: int | None = None,
-    limits: CatalogLimits = CatalogLimits(),
 ) -> tuple[list[dict], dict]:
     """Reports for every family entry plus a summary of the cross-checks.
 
     Per-entry elapsed_ms is null so that two identical runs emit identical
     bytes; wall-clock time belongs to the caller.  Any disagreement between
-    the two classification routes is counted, never swallowed.
+    the two classification routes is counted, never swallowed.  A group
+    whose automorphisms exhaust the budget gets one placeholder report.
     """
     resolved = resolve_budget(budget)
     reports = []
@@ -224,21 +139,25 @@ def run_catalog(
         try:
             auts = enumerate_automorphisms(group, resolved)
         except SearchBudgetExceeded as exc:
-            reports.append(_group_only_report(label, group, str(exc)))
-            budget_notes += 1
-            continue
-        for aut in auts:
-            entry = CatalogEntry(label=label, group=group, aut=aut)
-            report = entry_report(entry, resolved, limits, elapsed_ms=None)
-            reports.append(report)
-            if report["agreement"] is not None:
+            analyses = [
+                SqClassification(
+                    order=group.order,
+                    origin=None,
+                    outcome="budget",
+                    notes=(f"automorphism enumeration aborted: {exc}",),
+                )
+            ]
+        else:
+            analyses = (
+                _entry_analysis(CatalogEntry(label, group, aut), resolved)
+                for aut in auts
+            )
+        for result in analyses:
+            reports.append(_analysis_report(result, label, None))
+            if result.agreement is not None:
                 hypothesis_met += 1
-                if report["agreement"] is False:
-                    failures += 1
-            if any(
-                "budget" in note or "aborted" in note for note in report["notes"]
-            ):
-                budget_notes += 1
+                failures += result.agreement is False
+            budget_notes += result.outcome == "budget"
     summary = {
         "entries": len(reports),
         "hypothesis_met": hypothesis_met,

@@ -10,25 +10,19 @@ from __future__ import annotations
 import argparse
 import sys
 import time
+from dataclasses import replace
 
-from .budget import resolve_budget
-from .catalog import CatalogLimits, run_catalog
+from .catalog import run_catalog
 from .errors import (
     HypothesisNotMet,
     InternalConsistencyError,
     SearchBudgetExceeded,
     SymqError,
 )
-from .groups import fixed_two_torsion, is_abelian, validate_group
-from .involutions import (
-    classify_sq_bruteforce,
-    classify_sq_theorem,
-    cross_check_sq,
-    enumerate_good_involutions,
-    good_involutions_closed_form,
-)
-from .quandles import galex, inner_orbits, kei_witness, validate_quandle
-from .report import emit_report, emit_reports, quandle_report, to_json, to_text
+from .groups import is_abelian, validate_group
+from .involutions import _analyze_strict
+from .quandles import galex, validate_quandle
+from .report import _analysis_report, emit_report, emit_reports
 from .specs import build_group, parse_aut_spec
 from .tableio import format_table, read_table
 from .torus import torus_report_data
@@ -52,25 +46,16 @@ def _write(text: str, out: str | None) -> None:
             fh.write(text)
 
 
-def _resolve_pair(args):
+def _galex_from_args(args):
     group = build_group(args.group)
-    aut = parse_aut_spec(args.aut, group)
-    return group, aut
+    return galex(group, parse_aut_spec(args.aut, group))
 
 
-def _quandle_props(q):
-    part = inner_orbits(q)
-    witness = kei_witness(q)
-    return {
-        "is_kei": witness is None,
-        "kei_witness": None if witness is None else list(witness),
-        "is_connected": part.count == 1,
-        "orbit_count": part.count,
-    }
-
-
-def _ms(start: float) -> int:
-    return int((time.monotonic() - start) * 1000)
+def _write_report(args, result, start: float) -> None:
+    """Serialize one analysis; the group spec is null for table input."""
+    elapsed_ms = int((time.monotonic() - start) * 1000)
+    report = _analysis_report(result, getattr(args, "group", None), elapsed_ms)
+    _write(emit_report(report, args.format), args.out)
 
 
 def cmd_group_build(args) -> int:
@@ -89,130 +74,68 @@ def cmd_group_check(args) -> int:
         "abelian": is_abelian(group),
         "valid": True,
     }
-    _write(to_json(report) if args.format == "json" else to_text(report), args.out)
+    _write(emit_report(report, args.format), args.out)
     return 0
 
 
 def cmd_quandle_galex(args) -> int:
-    group, aut = _resolve_pair(args)
-    q = galex(group, aut)
-    _write(format_table(q.op), args.out)
+    _write(format_table(_galex_from_args(args).op), args.out)
     return 0
 
 
 def cmd_quandle_check(args) -> int:
     start = time.monotonic()
     q = validate_quandle(read_table(args.table))
-    props = _quandle_props(q)
-    report = quandle_report(
-        group_spec=None,
-        order=q.order,
-        automorphism=None,
-        good_involutions=None,
-        fixed_two_torsion=None,
-        sq_classes_bruteforce=None,
-        sq_classes_theorem=None,
-        agreement=None,
-        notes=[],
-        elapsed_ms=_ms(start),
-        **props,
-    )
-    _write(emit_report(report, args.format), args.out)
+    # no route runs, so no search node may be spent
+    _write_report(args, _analyze_strict(q, 0), start)
     return 0
 
 
 def _load_quandle(args):
-    """Either a (group, aut) pair or a raw table file; returns (q, spec, aut)."""
+    """The quandle of a (group, aut) pair, which records its origin, or of a table."""
     if args.table is not None:
         if args.group is not None or args.aut is not None:
             raise _UsageError("--table excludes --group/--aut")
-        return validate_quandle(read_table(args.table)), None, None
+        return validate_quandle(read_table(args.table))
     if args.group is None or args.aut is None:
         raise _UsageError("need --group and --aut, or --table")
-    group, aut = _resolve_pair(args)
-    return galex(group, aut), group, aut
+    return _galex_from_args(args)
 
 
 def cmd_sq_enumerate(args) -> int:
     start = time.monotonic()
-    budget = resolve_budget(args.budget)
-    q, group, aut = _load_quandle(args)
-    notes = []
+    q = _load_quandle(args)
     if args.closed_form:
-        if group is None:
+        if q.origin is None:
             raise _UsageError("--closed-form needs --group/--aut input")
-        invs = good_involutions_closed_form(group, aut)
-        notes.append("closed form: left translations by fixed self-inverse elements")
+        result = _analyze_strict(q, args.budget, theorem=True)
+        result = replace(
+            result,
+            notes=("closed form: left translations by fixed self-inverse elements",),
+        )
     else:
-        invs = enumerate_good_involutions(q, budget)
-    report = quandle_report(
-        group_spec=args.group,
-        order=q.order,
-        automorphism=None if aut is None else list(aut.perm),
-        good_involutions=[list(g.rho) for g in invs],
-        fixed_two_torsion=(
-            None if group is None else list(fixed_two_torsion(group, aut).members)
-        ),
-        sq_classes_bruteforce=None,
-        sq_classes_theorem=None,
-        agreement=None,
-        notes=notes,
-        elapsed_ms=_ms(start),
-        **_quandle_props(q),
-    )
-    _write(emit_report(report, args.format), args.out)
+        result = _analyze_strict(q, args.budget, oracle=True)
+    _write_report(args, result, start)
     return 0
 
 
 def cmd_sq_classify(args) -> int:
     start = time.monotonic()
-    budget = resolve_budget(args.budget)
-    q, group, aut = _load_quandle(args)
-    if args.theorem:
-        if group is None:
-            raise _UsageError("--theorem needs --group/--aut input")
-        result = classify_sq_theorem(group, aut, budget)
-    else:
-        result = classify_sq_bruteforce(q, budget)
-    report = quandle_report(
-        group_spec=args.group,
-        order=q.order,
-        automorphism=None if aut is None else list(aut.perm),
-        good_involutions=[list(p) for p in result.good_involutions],
-        fixed_two_torsion=(
-            None if group is None else list(fixed_two_torsion(group, aut).members)
-        ),
-        sq_classes_bruteforce=result.bruteforce_count,
-        sq_classes_theorem=result.theorem_count,
-        agreement=result.agreement,
-        notes=list(result.notes),
-        elapsed_ms=_ms(start),
-        **_quandle_props(q),
+    q = _load_quandle(args)
+    if args.theorem and q.origin is None:
+        raise _UsageError("--theorem needs --group/--aut input")
+    result = _analyze_strict(
+        q, args.budget, oracle=not args.theorem, theorem=args.theorem, classify=True
     )
-    _write(emit_report(report, args.format), args.out)
+    _write_report(args, result, start)
     return 0
 
 
 def cmd_sq_crosscheck(args) -> int:
     start = time.monotonic()
-    budget = resolve_budget(args.budget)
-    group, aut = _resolve_pair(args)
-    result = cross_check_sq(group, aut, budget)
-    q = galex(group, aut)
-    report = quandle_report(
-        group_spec=args.group,
-        order=q.order,
-        automorphism=list(aut.perm),
-        good_involutions=[list(p) for p in result.good_involutions],
-        fixed_two_torsion=list(fixed_two_torsion(group, aut).members),
-        sq_classes_bruteforce=result.bruteforce_count,
-        sq_classes_theorem=result.theorem_count,
-        agreement=result.agreement,
-        notes=list(result.notes),
-        elapsed_ms=_ms(start),
-        **_quandle_props(q),
-    )
-    _write(emit_report(report, args.format), args.out)
+    q = _galex_from_args(args)
+    result = _analyze_strict(q, args.budget, oracle=True, theorem=True, classify=True)
+    _write_report(args, result, start)
     if result.agreement is False:
         sys.stderr.write("classification routes disagree\n")
         return 3
@@ -220,15 +143,8 @@ def cmd_sq_crosscheck(args) -> int:
 
 
 def cmd_catalog(args) -> int:
-    limits = CatalogLimits(
-        oracle_max_order=args.oracle_limit,
-        pairwise_max_order=args.pairwise_limit,
-    )
     reports, summary = run_catalog(
-        args.max_order,
-        include_extras=args.extras,
-        budget=args.budget,
-        limits=limits,
+        args.max_order, include_extras=args.extras, budget=args.budget
     )
     _write(emit_reports(reports, args.format), args.out)
     sys.stderr.write(
@@ -325,8 +241,6 @@ def build_parser() -> _Parser:
         action="store_true",
         help="include the symmetric and alternating groups on four points",
     )
-    cat.add_argument("--oracle-limit", type=int, default=64, metavar="N")
-    cat.add_argument("--pairwise-limit", type=int, default=16, metavar="N")
     _add_common(cat, budget=True)
     cat.set_defaults(func=cmd_catalog)
 

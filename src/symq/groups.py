@@ -46,11 +46,6 @@ __all__ = [
     "direct_product",
 ]
 
-# Plain permutation scan is used up to this order; beyond it the
-# generator-image backtracking takes over.
-_SCAN_MAX_ORDER = 8
-
-
 @dataclass(frozen=True)
 class FiniteGroup:
     """Order-n group: multiplication table, identity index, inverse table."""
@@ -371,7 +366,11 @@ def _generating_sequence(group: FiniteGroup) -> list[int]:
 
 
 def _automorphisms_by_scan(group: FiniteGroup, budget: SearchBudget) -> list[tuple[int, ...]]:
-    """Filter every permutation that fixes the identity; only sane for small n."""
+    """Filter every permutation that fixes the identity; only sane for small n.
+
+    Not used by the package: it is the independent reference that the tests
+    compare the backtracking search against.
+    """
     n = group.order
     e = group.identity
     table = group.product
@@ -467,27 +466,34 @@ def _automorphisms_by_backtracking(
     return results
 
 
+def _automorphisms(group: FiniteGroup, budget: SearchBudget) -> list[GroupAutomorphism]:
+    found = _automorphisms_by_backtracking(group, budget)
+    return [GroupAutomorphism(group=group, perm=p) for p in sorted(found)]
+
+
 def enumerate_automorphisms(
     group: FiniteGroup, budget: int | None = None
 ) -> list[GroupAutomorphism]:
     """All automorphisms, in lexicographic order of their one-line notation."""
-    tracker = SearchBudget(budget)
-    if group.order <= _SCAN_MAX_ORDER:
-        found = _automorphisms_by_scan(group, tracker)
-    else:
-        found = _automorphisms_by_backtracking(group, tracker)
-    return [GroupAutomorphism(group=group, perm=p) for p in sorted(found)]
+    return _automorphisms(group, SearchBudget(budget))
+
+
+def _centralizer(
+    group: FiniteGroup, phi: GroupAutomorphism, budget: SearchBudget
+) -> list[GroupAutomorphism]:
+    f = phi.perm
+    return [
+        psi
+        for psi in _automorphisms(group, budget)
+        if perms.compose(psi.perm, f) == perms.compose(f, psi.perm)
+    ]
 
 
 def centralizer_in_aut(
     group: FiniteGroup, phi: GroupAutomorphism, budget: int | None = None
 ) -> list[GroupAutomorphism]:
     """Automorphisms commuting with phi, a subgroup containing id and phi."""
-    return [
-        psi
-        for psi in enumerate_automorphisms(group, budget)
-        if perms.compose(psi.perm, phi.perm) == perms.compose(phi.perm, psi.perm)
-    ]
+    return _centralizer(group, phi, SearchBudget(budget))
 
 
 def fixed_two_torsion(group: FiniteGroup, phi: GroupAutomorphism) -> ElementSet:

@@ -20,12 +20,13 @@ from .errors import (
     InternalConsistencyError,
     MalformedPermutation,
     NotFixedTwoTorsion,
+    SearchBudgetExceeded,
 )
 from .groups import (
-    ElementSet,
     FiniteGroup,
     GroupAutomorphism,
-    centralizer_in_aut,
+    OrbitPartition,
+    _centralizer,
     fixed_two_torsion,
     orbits_under,
 )
@@ -41,7 +42,6 @@ from .quandles import (
 )
 
 __all__ = [
-    "GoodInvolution",
     "SymmetricQuandle",
     "InvolutionViolation",
     "TheoremClass",
@@ -63,12 +63,6 @@ __all__ = [
 # The plain-filter oracle walks every involutive permutation; past this order
 # the count explodes and the constraint-propagation enumerator must be used.
 _FILTER_MAX_ORDER = 12
-
-
-@dataclass(frozen=True)
-class GoodInvolution:
-    quandle: FiniteQuandle
-    rho: tuple[int, ...]
 
 
 @dataclass(frozen=True)
@@ -95,21 +89,29 @@ class TheoremClass:
 
 @dataclass(frozen=True)
 class SqClassification:
-    """Symmetric-quandle classes of one quandle, by one or both routes.
+    """Everything one analysis of a quandle found, by one or both routes.
 
     `classes_bruteforce` partitions `good_involutions` (index lists) via
     exhaustive pairwise isomorphism searches; `classes_theorem` lists
     centralizer orbits on the fixed self-inverse elements when the quandle
-    is a connected kei built from a (group, automorphism) pair.
+    is a connected kei built from a (group, automorphism) pair.  A field the
+    requested routes do not produce is None.  `outcome` is "budget" when
+    the node budget ran out; the route fields are then all None.
+    `orbit_count` is None only for a group whose automorphisms could not be
+    listed, where no quandle was built.
     """
 
     order: int
     origin: GalexOrigin | None
-    good_involutions: tuple[tuple[int, ...], ...]
-    classes_bruteforce: tuple[tuple[int, ...], ...] | None
-    classes_theorem: tuple[TheoremClass, ...] | None
-    agreement: bool | None
-    notes: tuple[str, ...]
+    good_involutions: tuple[tuple[int, ...], ...] | None = None
+    classes_bruteforce: tuple[tuple[int, ...], ...] | None = None
+    classes_theorem: tuple[TheoremClass, ...] | None = None
+    agreement: bool | None = None
+    notes: tuple[str, ...] = ()
+    kei_witness: tuple[int, int] | None = None
+    orbit_count: int | None = None
+    fixed_two_torsion: tuple[int, ...] | None = None
+    outcome: str = "ok"
 
     @property
     def bruteforce_count(self) -> int | None:
@@ -184,7 +186,9 @@ def _candidate_sets(q: FiniteQuandle) -> list[tuple[int, ...]]:
     return out
 
 
-def _enumerate_rhos(q: FiniteQuandle, budget: SearchBudget) -> list[tuple[int, ...]]:
+def _enumerate_rhos(
+    q: FiniteQuandle, part: OrbitPartition, budget: SearchBudget
+) -> list[tuple[int, ...]]:
     """Constraint-propagation enumeration of all good involutions.
 
     Per-element candidate sets come from the column condition.  Equivariance
@@ -199,7 +203,6 @@ def _enumerate_rhos(q: FiniteQuandle, budget: SearchBudget) -> list[tuple[int, .
     if any(not c for c in cands):
         return []
     cand_sets = [frozenset(c) for c in cands]
-    part = inner_orbits(q)
     orbits = part.orbits
     singleton = [len(orbits[part.orbit_id[x]]) == 1 for x in range(n)]
     op = q.op
@@ -285,20 +288,20 @@ def _enumerate_rhos(q: FiniteQuandle, budget: SearchBudget) -> list[tuple[int, .
 
 def enumerate_good_involutions(
     q: FiniteQuandle, budget: int | None = None
-) -> list[GoodInvolution]:
+) -> list[SymmetricQuandle]:
     """Complete, duplicate-free list of good involutions, lexicographic order."""
-    tracker = SearchBudget(budget)
-    return [GoodInvolution(quandle=q, rho=p) for p in _enumerate_rhos(q, tracker)]
+    rhos = _enumerate_rhos(q, inner_orbits(q), SearchBudget(budget))
+    return [SymmetricQuandle(quandle=q, rho=p) for p in rhos]
 
 
-def enumerate_good_involutions_by_filter(q: FiniteQuandle) -> list[GoodInvolution]:
+def enumerate_good_involutions_by_filter(q: FiniteQuandle) -> list[SymmetricQuandle]:
     """Self-test oracle: filter every involutive permutation directly."""
     if q.order > _FILTER_MAX_ORDER:
         raise ValueError(
             f"plain filter only runs up to order {_FILTER_MAX_ORDER}, got {q.order}"
         )
     return [
-        GoodInvolution(quandle=q, rho=p)
+        SymmetricQuandle(quandle=q, rho=p)
         for p in perms.involutions(q.order)
         if check_good_involution(q, p) is None
     ]
@@ -320,7 +323,7 @@ def rho_r(group: FiniteGroup, phi: GroupAutomorphism, r: int) -> tuple[int, ...]
 
 def good_involutions_closed_form(
     group: FiniteGroup, phi: GroupAutomorphism
-) -> list[GoodInvolution]:
+) -> list[SymmetricQuandle]:
     """Left translations by fixed self-inverse elements, for connected keis.
 
     Every returned map is re-verified against the definition; off the
@@ -328,22 +331,9 @@ def good_involutions_closed_form(
     rather than guessing (see the dihedral quandle of order 4).
     """
     q = galex(group, phi)
-    witness = kei_witness(q)
-    if witness is not None:
-        raise HypothesisNotMet("kei", f"operation differs from its inverse at {witness}")
-    if inner_orbits(q).count != 1:
-        raise HypothesisNotMet("connected", "quandle has more than one inner orbit")
-    out = []
-    for r in fixed_two_torsion(group, phi).members:
-        p = rho_r(group, phi, r)
-        violation = check_good_involution(q, p)
-        if violation is not None:
-            raise InternalConsistencyError(
-                f"translation by {r} is not a good involution: {violation}"
-            )
-        out.append(GoodInvolution(quandle=q, rho=p))
-    out.sort(key=lambda g: g.rho)
-    return out
+    # the translations are read off the group: no search, so no budget
+    result = _analyze_strict(q, 0, theorem=True)
+    return [SymmetricQuandle(quandle=q, rho=p) for p in result.good_involutions]
 
 
 # -- classification ----------------------------------------------------------------
@@ -370,18 +360,6 @@ def symmetric_quandle_isomorphic(
     if not found:
         return None
     return QuandleMap(source=a.quandle, target=b.quandle, perm=found[0])
-
-
-def _witness_search(
-    q: FiniteQuandle,
-    rho1: tuple[int, ...],
-    rho2: tuple[int, ...],
-    budget: SearchBudget,
-) -> tuple[int, ...] | None:
-    found = _iso_search(
-        q, q, find_all=False, budget=budget, rho1=rho1, rho2=rho2
-    )
-    return found[0] if found else None
 
 
 def _partition_by_isomorphism(
@@ -414,6 +392,7 @@ def _partition_by_isomorphism(
             parent[max(ri, rj)] = min(ri, rj)
 
     def apply_witness(f: tuple[int, ...]) -> None:
+        budget.spend(m)
         f_inv = perms.invert(f)
         for i, p in enumerate(rhos):
             conj = tuple(f[p[f_inv[x]]] for x in range(len(f)))
@@ -438,10 +417,12 @@ def _partition_by_isomorphism(
             if rr in tried:
                 continue
             tried.add(rr)
-            witness = _witness_search(q, rhos[r], rhos[i], budget)
-            if witness is not None:
+            found = _iso_search(
+                q, q, find_all=False, budget=budget, rho1=rhos[r], rho2=rhos[i]
+            )
+            if found:
                 union(r, i)
-                apply_witness(witness)
+                apply_witness(found[0])
                 placed = True
                 break
         if not placed:
@@ -453,49 +434,146 @@ def _partition_by_isomorphism(
     return tuple(tuple(members) for _, members in sorted(classes.items()))
 
 
-def classify_sq_bruteforce(
-    q: FiniteQuandle, budget: int | None = None
-) -> SqClassification:
-    """Enumerate good involutions, then partition them by exhaustive search."""
-    tracker = SearchBudget(budget)
-    rhos = _enumerate_rhos(q, tracker)
-    classes = _partition_by_isomorphism(q, rhos, tracker)
-    return SqClassification(
-        order=q.order,
-        origin=q.origin,
-        good_involutions=tuple(rhos),
-        classes_bruteforce=classes,
-        classes_theorem=None,
-        agreement=None,
-        notes=(),
-    )
-
-
 def _theorem_classes(
-    group: FiniteGroup,
-    phi: GroupAutomorphism,
-    budget: int | None = None,
-) -> tuple[tuple[TheoremClass, ...], ElementSet]:
-    fixed = fixed_two_torsion(group, phi)
-    members = fixed.members
-    position = {r: i for i, r in enumerate(members)}
+    origin: GalexOrigin, fixed: tuple[int, ...], budget: SearchBudget
+) -> tuple[TheoremClass, ...]:
+    """Orbits of the centralizer of the twist on the fixed self-inverse elements."""
+    position = {r: i for i, r in enumerate(fixed)}
     restricted = []
-    for psi in centralizer_in_aut(group, phi, budget):
-        images = [psi.perm[r] for r in members]
+    for psi in _centralizer(origin.group, origin.aut, budget):
+        images = [psi.perm[r] for r in fixed]
         if any(img not in position for img in images):
             raise InternalConsistencyError(
                 "fixed self-inverse set is not stable under the centralizer"
             )
         restricted.append([position[img] for img in images])
-    part = orbits_under(restricted, len(members))
-    classes = tuple(
+    part = orbits_under(restricted, len(fixed))
+    return tuple(
         TheoremClass(
-            representative=members[orbit[0]],
-            members=tuple(members[i] for i in orbit),
+            representative=fixed[orbit[0]],
+            members=tuple(fixed[i] for i in orbit),
         )
         for orbit in part.orbits
     )
-    return classes, fixed
+
+
+def _classes_agree(
+    rhos: list[tuple[int, ...]],
+    brute: tuple[tuple[int, ...], ...],
+    theorem: tuple[TheoremClass, ...],
+    translation: dict[int, tuple[int, ...]],
+) -> bool:
+    """Equal class counts, each orbit's translations in one brute-force
+    class, and distinct orbits in distinct classes."""
+    if len(brute) != len(theorem):
+        return False
+    index = {p: i for i, p in enumerate(rhos)}
+    member_class = {i: label for label, members in enumerate(brute) for i in members}
+    labels = []
+    for cls in theorem:
+        found = {member_class.get(index.get(translation[r])) for r in cls.members}
+        if len(found) != 1 or None in found:
+            return False
+        labels.append(found.pop())
+    return len(set(labels)) == len(labels)
+
+
+def _analyze(
+    q: FiniteQuandle,
+    budget: SearchBudget,
+    *,
+    oracle: bool = False,
+    theorem: bool = False,
+    classify: bool = False,
+) -> SqClassification:
+    """The one analysis of a quandle behind every classification and report.
+
+    The kei witness, the inner orbits and, when q records its (group,
+    automorphism) origin, the fixed self-inverse elements are always
+    computed.  The oracle route enumerates every good involution.  The
+    theorem route takes the left translations by fixed self-inverse
+    elements; it needs a connected kei with an origin, and when its
+    hypotheses fail it raises HypothesisNotMet if it was asked for alone
+    and is skipped with a note beside the oracle.  Without the oracle the
+    translations are checked against the definition, with it against the
+    oracle's list.  `classify` partitions the lists the routes produced and,
+    with both routes, decides agreement.  Every search charges `budget`;
+    when it runs out the result has outcome "budget" and no route fields.
+    """
+    origin = q.origin
+    witness = kei_witness(q)
+    orbits = inner_orbits(q)
+    fixed = (
+        None if origin is None else fixed_two_torsion(origin.group, origin.aut).members
+    )
+    facts = dict(
+        order=q.order,
+        origin=origin,
+        kei_witness=witness,
+        orbit_count=orbits.count,
+        fixed_two_torsion=fixed,
+    )
+    # (hypothesis, note prefix, detail) of the first connected-kei hypothesis
+    # that fails
+    failure = None
+    if theorem and witness is not None:
+        detail = f"operation and inverse operation differ at {witness}"
+        failure = "kei", "not a kei", detail
+    elif theorem and orbits.count != 1:
+        failure = "connected", "not connected", f"{orbits.count} inner orbits"
+    if failure is not None and not oracle:
+        raise HypothesisNotMet(failure[0], failure[2])
+
+    rhos = brute = classes = agreement = None
+    try:
+        if oracle:
+            rhos = _enumerate_rhos(q, orbits, budget)
+            if classify:
+                brute = _partition_by_isomorphism(q, rhos, budget)
+        if theorem and failure is None:
+            translation = {r: origin.group.product[r] for r in fixed}
+            if not oracle:
+                for r, p in translation.items():
+                    violation = check_good_involution(q, p)
+                    if violation is not None:
+                        raise InternalConsistencyError(
+                            f"translation by {r} is not a good involution: {violation}"
+                        )
+                rhos = sorted(translation.values())
+            if classify:
+                classes = _theorem_classes(origin, fixed, budget)
+                if oracle:
+                    agreement = _classes_agree(rhos, brute, classes, translation)
+    except SearchBudgetExceeded as exc:
+        return SqClassification(
+            **facts, outcome="budget", notes=(f"cross-check aborted: {exc}",)
+        )
+    return SqClassification(
+        **facts,
+        good_involutions=None if rhos is None else tuple(rhos),
+        classes_bruteforce=brute,
+        classes_theorem=classes,
+        agreement=agreement,
+        notes=() if failure is None else (f"{failure[1]}: {failure[2]}",),
+    )
+
+
+def _analyze_strict(
+    q: FiniteQuandle, budget: int | None, **routes: bool
+) -> SqClassification:
+    """`_analyze` under a fresh budget; raises SearchBudgetExceeded if it runs out."""
+    tracker = SearchBudget(budget)
+    result = _analyze(q, tracker, **routes)
+    if result.outcome == "budget":
+        raise SearchBudgetExceeded(tracker.limit)
+    return result
+
+
+def classify_sq_bruteforce(
+    q: FiniteQuandle, budget: int | None = None
+) -> SqClassification:
+    """Enumerate good involutions, then partition them by exhaustive search."""
+    return _analyze_strict(q, budget, oracle=True, classify=True)
 
 
 def classify_sq_theorem(
@@ -507,23 +585,7 @@ def classify_sq_theorem(
     anything else this raises and the caller must fall back to the
     brute-force route.
     """
-    q = galex(group, phi)
-    witness = kei_witness(q)
-    if witness is not None:
-        raise HypothesisNotMet("kei", f"operation differs from its inverse at {witness}")
-    if inner_orbits(q).count != 1:
-        raise HypothesisNotMet("connected", "quandle has more than one inner orbit")
-    classes, _ = _theorem_classes(group, phi, budget)
-    rhos = sorted(rho_r(group, phi, r) for r in fixed_two_torsion(group, phi).members)
-    return SqClassification(
-        order=q.order,
-        origin=q.origin,
-        good_involutions=tuple(rhos),
-        classes_bruteforce=None,
-        classes_theorem=classes,
-        agreement=None,
-        notes=(),
-    )
+    return _analyze_strict(galex(group, phi), budget, theorem=True, classify=True)
 
 
 def cross_check_sq(
@@ -534,68 +596,8 @@ def cross_check_sq(
     Agreement means: equal class counts, and the translations belonging to
     each centralizer orbit all land in one brute-force class, distinct
     orbits in distinct classes.  When a hypothesis fails the orbit route is
-    skipped and the notes say which one.
+    skipped and the notes say which one.  One budget bounds both routes.
     """
-    q = galex(group, phi)
-    tracker = SearchBudget(budget)
-    rhos = _enumerate_rhos(q, tracker)
-    classes = _partition_by_isomorphism(q, rhos, tracker)
-
-    notes: list[str] = []
-    theorem: tuple[TheoremClass, ...] | None = None
-    agreement: bool | None = None
-
-    witness = kei_witness(q)
-    connected = inner_orbits(q).count == 1
-    if witness is not None:
-        notes.append(
-            f"not a kei: operation and inverse operation differ at {witness}"
-        )
-    elif not connected:
-        notes.append(
-            f"not connected: {inner_orbits(q).count} inner orbits"
-        )
-    else:
-        theorem, _ = _theorem_classes(group, phi, budget)
-        agreement = _classes_agree(group, phi, rhos, classes, theorem)
-
-    return SqClassification(
-        order=q.order,
-        origin=q.origin,
-        good_involutions=tuple(rhos),
-        classes_bruteforce=classes,
-        classes_theorem=theorem,
-        agreement=agreement,
-        notes=tuple(notes),
+    return _analyze_strict(
+        galex(group, phi), budget, oracle=True, theorem=True, classify=True
     )
-
-
-def _classes_agree(
-    group: FiniteGroup,
-    phi: GroupAutomorphism,
-    rhos: list[tuple[int, ...]],
-    brute: tuple[tuple[int, ...], ...],
-    theorem: tuple[TheoremClass, ...],
-) -> bool:
-    if len(brute) != len(theorem):
-        return False
-    index = {p: i for i, p in enumerate(rhos)}
-    member_class = {}
-    for label, members in enumerate(brute):
-        for i in members:
-            member_class[i] = label
-    seen_labels = set()
-    for cls in theorem:
-        labels = set()
-        for r in cls.members:
-            p = rho_r(group, phi, r)
-            if p not in index:
-                return False
-            labels.add(member_class[index[p]])
-        if len(labels) != 1:
-            return False
-        label = labels.pop()
-        if label in seen_labels:
-            return False
-        seen_labels.add(label)
-    return True

@@ -14,7 +14,6 @@ from . import perms
 from .budget import SearchBudget
 from .errors import (
     InternalConsistencyError,
-    MalformedTable,
     NotCentralizing,
     NotConnected,
     NotGalexOrigin,
@@ -29,6 +28,7 @@ from .groups import (
     FiniteGroup,
     GroupAutomorphism,
     OrbitPartition,
+    _check_table_shape,
     orbits_under,
     validate_automorphism,
 )
@@ -83,22 +83,6 @@ class QuandleMap:
         return self.perm[x]
 
 
-def _check_square(table: Sequence[Sequence[int]]) -> list[list[int]]:
-    n = len(table)
-    if n == 0:
-        raise MalformedTable("table is empty")
-    rows = []
-    for i, raw in enumerate(table):
-        row = list(raw)
-        if len(row) != n:
-            raise MalformedTable(f"row {i} has {len(row)} entries, expected {n}")
-        for j, x in enumerate(row):
-            if not isinstance(x, int) or isinstance(x, bool) or not 0 <= x < n:
-                raise MalformedTable(f"entry ({i}, {j}) = {x!r} out of range 0..{n - 1}")
-        rows.append(row)
-    return rows
-
-
 def validate_quandle(op_table: Sequence[Sequence[int]]) -> FiniteQuandle:
     """Verify the three quandle axioms and derive the inverse operation.
 
@@ -106,7 +90,7 @@ def validate_quandle(op_table: Sequence[Sequence[int]]) -> FiniteQuandle:
     yields inv_op), then right self-distributivity.  Witness indices are the
     smallest in scan order.
     """
-    rows = _check_square(op_table)
+    rows = _check_table_shape(op_table)
     n = len(rows)
     for x in range(n):
         if rows[x][x] != x:

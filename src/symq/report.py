@@ -10,6 +10,7 @@ from __future__ import annotations
 import json
 
 from . import __about__
+from .involutions import SqClassification
 
 QUANDLE_REPORT_KEYS = (
     "tool_version",
@@ -66,6 +67,32 @@ def quandle_report(
     }
     assert tuple(report) == QUANDLE_REPORT_KEYS
     return report
+
+
+def _analysis_report(
+    result: SqClassification, group_spec: str | None, elapsed_ms: int | None
+) -> dict:
+    """The fixed-key report of one analysis; every quandle report is made here."""
+    known = result.orbit_count is not None
+    witness = result.kei_witness
+    rhos = result.good_involutions
+    fixed = result.fixed_two_torsion
+    return quandle_report(
+        group_spec=group_spec,
+        order=result.order,
+        automorphism=None if result.origin is None else list(result.origin.aut.perm),
+        is_kei=witness is None if known else None,
+        kei_witness=None if witness is None else list(witness),
+        is_connected=result.orbit_count == 1 if known else None,
+        orbit_count=result.orbit_count,
+        good_involutions=None if rhos is None else [list(p) for p in rhos],
+        fixed_two_torsion=None if fixed is None else list(fixed),
+        sq_classes_bruteforce=result.bruteforce_count,
+        sq_classes_theorem=result.theorem_count,
+        agreement=result.agreement,
+        notes=list(result.notes),
+        elapsed_ms=elapsed_ms,
+    )
 
 
 def to_json(report: dict) -> str:

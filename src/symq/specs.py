@@ -1,7 +1,7 @@
 """Mini-languages naming groups and automorphisms on the command line.
 
 Group specs:   cyclic:N | product:<spec>,<spec>[,...] | dihedral:M
-               | symmetric:K | quaternion | file:PATH
+               | symmetric:K | alternating:K | quaternion | file:PATH
 Aut specs:     id | inv | perm:i,j,... | conj:g
 
 Parsing is total: any input yields either a value or a positioned
@@ -11,11 +11,13 @@ SpecParseError, never a crash.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from math import factorial
 
 from .errors import NotAbelian, SpecParseError, UnsupportedOrder
 from .groups import (
     FiniteGroup,
     GroupAutomorphism,
+    alternating_group,
     cyclic_group,
     dihedral_group,
     direct_product,
@@ -43,7 +45,9 @@ __all__ = [
 # everything downstream is desk-scale anyway.
 MAX_BUILT_ORDER = 1024
 
-_KINDS = ("cyclic", "product", "dihedral", "symmetric", "quaternion", "file")
+_KINDS = (
+    "cyclic", "product", "dihedral", "symmetric", "alternating", "quaternion", "file"
+)
 
 
 @dataclass(frozen=True)
@@ -149,10 +153,9 @@ def _spec_order(spec: GroupSpec) -> int:
     if spec.kind == "dihedral":
         return 2 * (spec.number or 0)
     if spec.kind == "symmetric":
-        out = 1
-        for i in range(2, (spec.number or 0) + 1):
-            out *= i
-        return out
+        return factorial(spec.number)
+    if spec.kind == "alternating":
+        return factorial(spec.number) // 2
     if spec.kind == "quaternion":
         return 8
     if spec.kind == "product":
@@ -170,6 +173,8 @@ def _realize(spec: GroupSpec) -> FiniteGroup:
         return dihedral_group(spec.number)
     if spec.kind == "symmetric":
         return symmetric_group(spec.number)
+    if spec.kind == "alternating":
+        return alternating_group(spec.number)
     if spec.kind == "quaternion":
         return quaternion_group()
     if spec.kind == "product":

@@ -79,12 +79,10 @@ def all_transvections(n: int) -> list[Transvection]:
     return [Transvection(i, j) for i in range(n) for j in range(n) if i != j]
 
 
-def transvection_orbit(n: int, v: BitVector) -> list[BitVector]:
-    """Closure of v under every shear map, ordered by integer value."""
-    _check_dimension(n)
-    gens = all_transvections(n)
-    seen = {v.bits}
-    frontier = [v.bits]
+def _orbit_bits(n: int, start: int, gens: list[Transvection]) -> set[int]:
+    """Closure of one point, as an int bit pattern, under the given shears."""
+    seen = {start}
+    frontier = [start]
     while frontier:
         bits = frontier.pop()
         for t in gens:
@@ -92,7 +90,14 @@ def transvection_orbit(n: int, v: BitVector) -> list[BitVector]:
             if nxt not in seen:
                 seen.add(nxt)
                 frontier.append(nxt)
-    return [BitVector(n, bits) for bits in sorted(seen)]
+    return seen
+
+
+def transvection_orbit(n: int, v: BitVector) -> list[BitVector]:
+    """Closure of v under every shear map, ordered by integer value."""
+    _check_dimension(n)
+    orbit = _orbit_bits(n, v.bits, all_transvections(n))
+    return [BitVector(n, bits) for bits in sorted(orbit)]
 
 
 def _class_count_with_generators(n: int, gens: list[Transvection]) -> int:
@@ -101,28 +106,14 @@ def _class_count_with_generators(n: int, gens: list[Transvection]) -> int:
     The model stands on the equality orbit(e1) = all nonzero vectors; if a
     generator set fails it, the count is meaningless and we refuse loudly.
     """
-    e1 = 1 << (n - 1)
-    seen = {e1}
-    frontier = [e1]
-    while frontier:
-        bits = frontier.pop()
-        for t in gens:
-            nxt = t.apply_bits(n, bits)
-            if nxt not in seen:
-                seen.add(nxt)
-                frontier.append(nxt)
+    seen = _orbit_bits(n, 1 << (n - 1), gens)
     if seen != set(range(1, 1 << n)):
         raise ModelInconsistency(
             f"orbit of the first basis vector covers {len(seen)} of "
             f"{(1 << n) - 1} nonzero vectors"
         )
     # Orbits overall: {0} is fixed by every linear map, the rest is one orbit.
-    zero_orbit = {0}
-    for t in gens:
-        img = t.apply_bits(n, 0)
-        if img != 0:
-            zero_orbit.add(img)
-    if zero_orbit != {0}:
+    if _orbit_bits(n, 0, gens) != {0}:
         raise ModelInconsistency("shear maps moved the zero vector")
     return 2
 

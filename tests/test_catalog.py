@@ -1,5 +1,5 @@
 import symq
-from symq.catalog import CatalogLimits, entry_report
+from symq.catalog import entry_report
 
 
 def test_invariant_chains_small_orders():
@@ -28,6 +28,12 @@ def test_family_extras():
     assert "symmetric:4" in labels
 
 
+def test_family_labels_round_trip_through_specs():
+    # every label a report carries as its group_spec names the same table
+    for label, group in symq.catalog_family(12, include_extras=True):
+        assert symq.build_group(label).product == group.product, label
+
+
 def test_family_is_sorted_by_order():
     orders = [g.order for _, g in symq.catalog_family(10)]
     assert orders == sorted(orders)
@@ -36,17 +42,6 @@ def test_family_is_sorted_by_order():
 def test_entry_count_max_order_four():
     # 1 + 1 + 2 + (2 + 6) automorphisms
     assert len(symq.catalog_entries(4)) == 12
-
-
-def test_entry_report_oracle_limit_note(z4):
-    inv = symq.inversion_automorphism(z4)
-    entry = symq.CatalogEntry(label="cyclic:4", group=z4, aut=inv)
-    report = entry_report(entry, limits=CatalogLimits(oracle_max_order=2))
-    assert report["good_involutions"] is None
-    assert any("oracle limit" in n for n in report["notes"])
-    # cheap facts still reported
-    assert report["is_kei"] is True
-    assert report["fixed_two_torsion"] == [0, 2]
 
 
 def test_entry_report_budget_note_never_raises(z4):

@@ -153,6 +153,42 @@ def test_sq_crosscheck_agreement(capsys):
     assert report["sq_classes_theorem"] == 1
 
 
+def test_sq_crosscheck_alternating_spec(capsys):
+    # the catalog names this group "alternating:4"; the CLI takes it back
+    report = run_json(
+        capsys, "sq", "crosscheck", "--group", "alternating:4",
+        "--aut", "perm:0,2,1,3,5,4,9,10,11,6,7,8",
+    )
+    assert report["group_spec"] == "alternating:4"
+    assert report["sq_classes_bruteforce"] == report["sq_classes_theorem"] == 2
+    assert report["agreement"] is True
+
+
+def test_sq_budget_bounds_whole_crosscheck(capsys):
+    # the oracle, the partition and the theorem route's automorphism search
+    # all charge one budget: N nodes bound their sum, not each of them
+    from symq.budget import SearchBudget
+    from symq.involutions import _analyze
+
+    g = symq.alternating_group(4)
+    phi = symq.validate_automorphism(g, [0, 2, 1, 3, 5, 4, 9, 10, 11, 6, 7, 8])
+    q = symq.galex(g, phi)
+    oracle_only = SearchBudget(10**9)
+    _analyze(q, oracle_only, oracle=True, classify=True)
+    whole = SearchBudget(10**9)
+    _analyze(q, whole, oracle=True, theorem=True, classify=True)
+    assert oracle_only.used < whole.used
+    argv = ["sq", "crosscheck", "--group", "alternating:4",
+            "--aut", "perm:0,2,1,3,5,4,9,10,11,6,7,8", "--budget"]
+    report = run_json(capsys, *argv, str(whole.used))
+    assert report["agreement"] is True
+    code, _, err = run(capsys, *argv, str(whole.used - 1))
+    assert code == 1
+    assert "budget" in err
+    with pytest.raises(symq.SearchBudgetExceeded):
+        symq.cross_check_sq(g, phi, budget=whole.used - 1)
+
+
 def test_sq_usage_errors(capsys):
     code, _, _ = run(capsys, "sq", "enumerate", "--group", "cyclic:3")
     assert code == 1
@@ -222,24 +258,12 @@ def test_catalog_extras_degrade_gracefully(capsys):
     # entries abort into notes instead of failing the sweep
     code, out, err = run(
         capsys, "catalog", "--max-order", "12", "--extras",
-        "--budget", "20000", "--pairwise-limit", "8",
+        "--budget", "20000",
     )
     assert code == 0
     specs = {json.loads(line)["group_spec"] for line in out.splitlines()}
     assert {"alternating:4", "symmetric:4"} <= specs
     assert "budget notes" in err
-
-
-def test_catalog_pairwise_limit_note(capsys):
-    code, out, _ = run(
-        capsys, "catalog", "--max-order", "3", "--pairwise-limit", "2"
-    )
-    assert code == 0
-    reports = [json.loads(line) for line in out.splitlines()]
-    big = [r for r in reports if r["order"] > 2]
-    assert big
-    assert all(r["sq_classes_bruteforce"] is None for r in big)
-    assert all(any("pairwise" in n for n in r["notes"]) for r in big)
 
 
 # -- torus ------------------------------------------------------------------------------
