@@ -94,13 +94,16 @@ def catalog_entries(
     return entries
 
 
-def _entry_analysis(entry: CatalogEntry, budget: int | None) -> SqClassification:
+def _entry_analysis(
+    entry: CatalogEntry, budget: int | None, reuse: dict | None = None
+) -> SqClassification:
     return _analyze(
         galex(entry.group, entry.aut),
         SearchBudget(budget),
         oracle=True,
         theorem=True,
         classify=True,
+        reuse=reuse,
     )
 
 
@@ -129,13 +132,21 @@ def run_catalog(
     bytes; wall-clock time belongs to the caller.  Any disagreement between
     the two classification routes is counted, never swallowed.  A group
     whose automorphisms exhaust the budget gets one placeholder report.
+    Entries with the same quandle table share one oracle run and one
+    partition, and each entry is charged their nodes as if it had run them.
     """
     resolved = resolve_budget(budget)
     reports = []
     hypothesis_met = 0
     failures = 0
     budget_notes = 0
+    order = None
     for label, group in catalog_family(max_order, include_extras):
+        if group.order != order:
+            # the family ascends by order and tables of different orders
+            # never match; holding one order's results keeps the peak memory
+            # of a sweep below what recomputing them costs
+            order, reuse = group.order, {}
         try:
             auts = enumerate_automorphisms(group, resolved)
         except SearchBudgetExceeded as exc:
@@ -149,7 +160,7 @@ def run_catalog(
             ]
         else:
             analyses = (
-                _entry_analysis(CatalogEntry(label, group, aut), resolved)
+                _entry_analysis(CatalogEntry(label, group, aut), resolved, reuse)
                 for aut in auts
             )
         for result in analyses:

@@ -397,13 +397,18 @@ def _automorphisms_by_scan(group: FiniteGroup, budget: SearchBudget) -> list[tup
 
 
 def _automorphisms_by_backtracking(
-    group: FiniteGroup, budget: SearchBudget
+    group: FiniteGroup,
+    budget: SearchBudget,
+    commute: tuple[int, ...] | None = None,
 ) -> list[tuple[int, ...]]:
     """Backtrack over generator images, pruning candidates by element order.
 
     A partial choice of generator images is extended by closure: whenever two
     elements have images, their product must map to the product of the images.
     Any clash kills the branch; a full, injective image is an automorphism.
+    With `commute` = phi, only automorphisms psi with psi . phi = phi . psi
+    are searched: each image img[z] also forces img[phi(z)] = phi(img[z]), and
+    a generator whose image is already forced is not branched on.
     """
     n = group.order
     table = group.product
@@ -418,11 +423,25 @@ def _automorphisms_by_backtracking(
         """Extend img by products with all known elements; None on clash."""
         added = []
         queue = [start]
+
+        def force(z: int, iz: int) -> bool:
+            if img[z] < 0:
+                img[z] = iz
+                known.append(z)
+                added.append(z)
+                queue.append(z)
+                return True
+            return img[z] == iz
+
         while queue:
             c = queue.pop()
             budget.spend()
+            if commute is not None and not force(commute[c], commute[img[c]]):
+                undo(added)
+                return None
             for a in list(known):
                 for x, y in ((a, c), (c, a), (c, c)):
+                    # force() inlined: a call per product slows the search by a third
                     z = table[x][y]
                     iz = table[img[x]][img[y]]
                     if img[z] < 0:
@@ -431,9 +450,7 @@ def _automorphisms_by_backtracking(
                         added.append(z)
                         queue.append(z)
                     elif img[z] != iz:
-                        for w in added:
-                            img[w] = -1
-                        del known[len(known) - len(added):]
+                        undo(added)
                         return None
         return added
 
@@ -448,6 +465,9 @@ def _automorphisms_by_backtracking(
                 results.append(tuple(img))
             return
         g = gens[gi]
+        if img[g] >= 0:
+            rec(gi + 1)
+            return
         want = orders[g]
         for h in range(n):
             if orders[h] != want:
@@ -466,8 +486,12 @@ def _automorphisms_by_backtracking(
     return results
 
 
-def _automorphisms(group: FiniteGroup, budget: SearchBudget) -> list[GroupAutomorphism]:
-    found = _automorphisms_by_backtracking(group, budget)
+def _automorphisms(
+    group: FiniteGroup,
+    budget: SearchBudget,
+    commute: tuple[int, ...] | None = None,
+) -> list[GroupAutomorphism]:
+    found = _automorphisms_by_backtracking(group, budget, commute)
     return [GroupAutomorphism(group=group, perm=p) for p in sorted(found)]
 
 
@@ -481,12 +505,7 @@ def enumerate_automorphisms(
 def _centralizer(
     group: FiniteGroup, phi: GroupAutomorphism, budget: SearchBudget
 ) -> list[GroupAutomorphism]:
-    f = phi.perm
-    return [
-        psi
-        for psi in _automorphisms(group, budget)
-        if perms.compose(psi.perm, f) == perms.compose(f, psi.perm)
-    ]
+    return _automorphisms(group, budget, commute=phi.perm)
 
 
 def centralizer_in_aut(

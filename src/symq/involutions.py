@@ -11,6 +11,7 @@ shortcuts are always cross-checked against it, never substituted for it.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Sequence
 
 from . import perms
@@ -393,9 +394,12 @@ def _partition_by_isomorphism(
 
     def apply_witness(f: tuple[int, ...]) -> None:
         budget.spend(m)
-        f_inv = perms.invert(f)
+        if len(f) == 1:
+            return  # the one permutation of one point; itemgetter would give scalars
+        # f . p . f^-1, each step an itemgetter call that builds the tuple in C
+        after_inverse = itemgetter(*perms.invert(f))
         for i, p in enumerate(rhos):
-            conj = tuple(f[p[f_inv[x]]] for x in range(len(f)))
+            conj = itemgetter(*after_inverse(p))(f)
             j = index.get(conj)
             if j is None:
                 raise InternalConsistencyError(
@@ -485,6 +489,7 @@ def _analyze(
     oracle: bool = False,
     theorem: bool = False,
     classify: bool = False,
+    reuse: dict | None = None,
 ) -> SqClassification:
     """The one analysis of a quandle behind every classification and report.
 
@@ -499,6 +504,13 @@ def _analyze(
     oracle's list.  `classify` partitions the lists the routes produced and,
     with both routes, decides agreement.  Every search charges `budget`;
     when it runs out the result has outcome "budget" and no route fields.
+
+    `reuse` is a dict that a caller passing the same routes to many quandles
+    keeps across the calls.  It maps an op table to the involution list, the
+    brute-force classes and the nodes those two steps spent; on a hit they
+    are taken from it and the same nodes are charged to `budget`, so the
+    budget outcome is what recomputing would give.  Only searches that
+    finished within the budget are stored.
     """
     origin = q.origin
     witness = kei_witness(q)
@@ -527,9 +539,17 @@ def _analyze(
     rhos = brute = classes = agreement = None
     try:
         if oracle:
-            rhos = _enumerate_rhos(q, orbits, budget)
-            if classify:
-                brute = _partition_by_isomorphism(q, rhos, budget)
+            hit = None if reuse is None else reuse.get(q.op)
+            if hit is None:
+                start = budget.used
+                rhos = _enumerate_rhos(q, orbits, budget)
+                if classify:
+                    brute = _partition_by_isomorphism(q, rhos, budget)
+                if reuse is not None:
+                    reuse[q.op] = rhos, brute, budget.used - start
+            else:
+                rhos, brute, nodes = hit
+                budget.spend(nodes)
         if theorem and failure is None:
             translation = {r: origin.group.product[r] for r in fixed}
             if not oracle:

@@ -11,7 +11,6 @@ SpecParseError, never a crash.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import factorial
 
 from .errors import NotAbelian, SpecParseError, UnsupportedOrder
 from .groups import (
@@ -96,7 +95,11 @@ class _Cursor:
             self.pos += 1
         if self.pos == start:
             raise self.fail("expected an unsigned integer")
-        return int(self.text[start : self.pos])
+        try:
+            return int(self.text[start : self.pos])
+        except ValueError:  # past the interpreter's digit limit
+            self.pos = start
+            raise self.fail("integer has too many digits") from None
 
     def take_path(self) -> str:
         start = self.pos
@@ -147,22 +150,34 @@ def parse_group_spec(spec: str) -> GroupSpec:
     return parsed
 
 
+def _capped_product(factors) -> int:
+    """Product of the factors, cut short once it passes MAX_BUILT_ORDER."""
+    out = 1
+    for f in factors:
+        out *= f
+        if out > MAX_BUILT_ORDER:
+            break
+    return out
+
+
 def _spec_order(spec: GroupSpec) -> int:
+    """The order a spec names, or a number past MAX_BUILT_ORDER if it is larger.
+
+    Factorials and products stop growing at the cap, so a spec such as
+    symmetric:1000000 is refused at once instead of after computing K!.
+    """
     if spec.kind == "cyclic":
         return max(spec.number or 0, 0)
     if spec.kind == "dihedral":
         return 2 * (spec.number or 0)
     if spec.kind == "symmetric":
-        return factorial(spec.number)
+        return _capped_product(range(2, spec.number + 1))
     if spec.kind == "alternating":
-        return factorial(spec.number) // 2
+        return _capped_product(range(3, spec.number + 1))
     if spec.kind == "quaternion":
         return 8
     if spec.kind == "product":
-        out = 1
-        for part in spec.parts:
-            out *= _spec_order(part)
-        return out
+        return _capped_product(_spec_order(part) for part in spec.parts)
     return 0  # file: unknown until read
 
 
@@ -189,8 +204,8 @@ def build_group(spec: str | GroupSpec) -> FiniteGroup:
     declared = _spec_order(parsed)
     if declared > MAX_BUILT_ORDER:
         raise UnsupportedOrder(
-            f"spec {parsed.raw!r} names a group of order {declared}, "
-            f"beyond the build cap of {MAX_BUILT_ORDER}"
+            f"spec {parsed.raw!r} names a group of order above "
+            f"the build cap of {MAX_BUILT_ORDER}"
         )
     return _realize(parsed)
 

@@ -1,3 +1,5 @@
+import pytest
+
 import symq
 from symq.catalog import entry_report
 
@@ -70,3 +72,22 @@ def test_run_catalog_budget_notes_recorded():
     labels = {r["group_spec"] for r in reports}
     assert labels == {"cyclic:1", "cyclic:2", "cyclic:3", "cyclic:4",
                       "product:cyclic:2,cyclic:2"}
+
+
+@pytest.mark.parametrize("max_order, budget", [(9, None), (8, 13_823), (8, 13_822)])
+def test_run_catalog_reuse_changes_nothing(max_order, budget):
+    # entries with equal tables share one oracle run and one partition, yet
+    # each report equals a fresh analysis of that entry alone.  The five
+    # phi = id entries of order 8 share the trivial table, whose oracle and
+    # partition spend exactly 13,823 nodes: they all fit, or none does.
+    reports, _ = symq.run_catalog(max_order, budget=budget)
+    entries = symq.catalog_entries(max_order, budget=budget)
+    assert reports == [entry_report(e, budget) for e in entries]
+    trivial = [
+        report["good_involutions"] is not None
+        for e, report in zip(entries, reports)
+        if e.group.order == 8 and e.aut.is_identity()
+    ]
+    assert len(trivial) == 5
+    if budget is not None:
+        assert trivial == [budget == 13_823] * 5

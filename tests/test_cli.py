@@ -39,6 +39,15 @@ def test_group_build_to_file(tmp_path, capsys):
     assert path.read_text().startswith("4\n")
 
 
+def test_group_build_oversize_spec_fails_cleanly(capsys):
+    code, out, err = run(capsys, "group", "build", "--group", "symmetric:100000")
+    assert code == 1 and out == ""
+    assert err == (
+        "error: spec 'symmetric:100000' names a group of order above "
+        "the build cap of 1024\n"
+    )
+
+
 def test_group_check(capsys):
     report = run_json(capsys, "group", "check", "--group", "dihedral:3")
     assert report["order"] == 6

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 import symq
 from symq import errors
+from symq.perms import compose
 
 # Latin square with identity 0 and two-sided inverses that is not associative.
 NONASSOC_LOOP = [
@@ -259,19 +260,32 @@ def test_centralizer_of_identity_is_everything(klein):
     assert len(symq.centralizer_in_aut(klein, ident)) == 6
 
 
-def test_centralizer_matches_direct_filter(d3):
-    from symq.perms import compose
-
-    auts = symq.enumerate_automorphisms(d3)
-    phi = auts[1]
-    expected = [
+def _centralizer_by_filter(auts, phi):
+    return [
         a.perm
         for a in auts
         if compose(a.perm, phi.perm) == compose(phi.perm, a.perm)
     ]
-    got = [a.perm for a in symq.centralizer_in_aut(d3, phi)]
-    assert got == expected
-    assert phi.perm in got
+
+
+def test_centralizer_matches_direct_filter(small_family):
+    # the backtracker searches the centralizer directly; filtering the whole
+    # automorphism group is the reference
+    groups = [g for _, g in small_family] + [symq.alternating_group(4)]
+    for g in groups:
+        auts = symq.enumerate_automorphisms(g)
+        for phi in auts:
+            got = [a.perm for a in symq.centralizer_in_aut(g, phi)]
+            assert got == _centralizer_by_filter(auts, phi)
+            assert phi.perm in got
+
+
+def test_centralizer_matches_direct_filter_a5():
+    g = symq.alternating_group(5)
+    auts = symq.enumerate_automorphisms(g)
+    for phi in (auts[0], auts[1], auts[37], auts[-1]):
+        got = [a.perm for a in symq.centralizer_in_aut(g, phi)]
+        assert got == _centralizer_by_filter(auts, phi)
 
 
 # -- fixed_two_torsion --------------------------------------------------------------

@@ -194,6 +194,40 @@ def test_classify_trivial_quandle_by_cycle_type(klein):
     assert any("not connected" in note for note in result.notes)
 
 
+@pytest.mark.parametrize("n, involutions, classes", [(1, 1, 1), (2, 2, 2), (3, 4, 2)])
+def test_classify_trivial_quandle_small_orders(n, involutions, classes):
+    # order 1 has one permutation, order 2 two of different cycle types, and
+    # order 3 needs one witness conjugation to join the three swaps
+    g = symq.cyclic_group(n)
+    result = symq.classify_sq_bruteforce(symq.galex(g, symq.identity_automorphism(g)))
+    assert len(result.good_involutions) == involutions
+    assert result.bruteforce_count == classes
+
+
+def test_reuse_charges_the_recorded_nodes(klein):
+    # a second analysis of the same table takes the stored involutions and
+    # classes and is charged the nodes the first one spent
+    from symq.budget import SearchBudget
+    from symq.involutions import _analyze
+
+    q = symq.galex(klein, symq.identity_automorphism(klein))
+    routes = dict(oracle=True, classify=True)
+    reuse = {}
+    first, second = SearchBudget(), SearchBudget()
+    a = _analyze(q, first, **routes, reuse=reuse)
+    b = _analyze(q, second, **routes, reuse=reuse)
+    assert a == b and a.bruteforce_count == 3
+    assert second.used == first.used > 0
+    assert list(reuse) == [q.op]
+    # one node fewer runs out on a hit as on a fresh search, and a search
+    # cut short is not stored
+    short = first.used - 1
+    assert _analyze(q, SearchBudget(short), **routes, reuse=reuse).outcome == "budget"
+    fresh = {}
+    assert _analyze(q, SearchBudget(short), **routes, reuse=fresh).outcome == "budget"
+    assert fresh == {}
+
+
 def test_classify_theorem_r3(z3):
     inv = symq.inversion_automorphism(z3)
     result = symq.classify_sq_theorem(z3, inv)

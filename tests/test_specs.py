@@ -61,6 +61,28 @@ def test_build_cap_on_huge_orders():
         symq.build_group("symmetric:7")
 
 
+@pytest.mark.parametrize(
+    "spec",
+    ["symmetric:100000", "alternating:1000000", "product:symmetric:100000,cyclic:0"],
+)
+def test_build_cap_never_forms_the_giant_order(spec):
+    # the order stops growing at the cap: no K!, and no giant integer in
+    # the message (formatting one would raise ValueError past 4300 digits)
+    from symq.specs import _spec_order
+
+    assert _spec_order(symq.parse_group_spec(spec)).bit_length() < 64
+    with pytest.raises(errors.UnsupportedOrder) as exc:
+        symq.build_group(spec)
+    assert "above the build cap of 1024" in str(exc.value)
+    assert len(str(exc.value)) < 200
+
+
+def test_parse_integer_past_digit_limit_is_a_parse_error():
+    with pytest.raises(errors.SpecParseError) as exc:
+        symq.parse_group_spec("cyclic:" + "9" * 5000)
+    assert exc.value.offset == 7
+
+
 def test_build_quaternion():
     assert symq.build_group("quaternion").order == 8
 
