@@ -37,8 +37,7 @@ def _run(root: Path, command: list[str], workload: str, seed: int, seconds: int,
     """One benchmark run from `root`; its last stdout line is the result object."""
     argv = command + ["--workload", workload, "--seed", str(seed),
                       "--seconds", str(seconds), "--trace", str(trace)]
-    env = {k: v for k, v in os.environ.items() if k not in ("PYTHONPATH", "SYMQ_BUDGET")}
-    done = subprocess.run(argv, cwd=root, capture_output=True, text=True, env=env)
+    done = subprocess.run(argv, cwd=root, capture_output=True, text=True)
     lines = done.stdout.strip().splitlines()
     if done.returncode != 0 or not lines:
         return {"correct": False, "error": done.stderr.strip()[-500:], "metrics": {}}
