@@ -10,7 +10,12 @@ BASE first and the second HEAD first, then once each with `--trace 1`.
 Every run gets the file's `run_seconds`.  The output holds, per workload,
 each end-to-end metric's runs, medians, relative change and whether the
 change is worse than the metric's bound, and each per-layer metric of the
-traced runs.  Exit code 0 when every run reported correct outputs, else 1.
+traced runs.  Before the workloads it runs the Tier-1 test command
+(`python -m pytest -q --continue-on-collection-errors` with `src` on
+PYTHONPATH) once from each checkout root and records, under `tier1`, its
+raw wall time in seconds (not scaled to a reference speed), exit code and
+the counts of its pytest summary line.  Exit code 0 when every benchmark
+run reported correct outputs, else 1.
 """
 
 from __future__ import annotations
@@ -19,10 +24,14 @@ import argparse
 import json
 import os
 import platform
+import re
 import statistics
 import subprocess
 import sys
+import time
 from pathlib import Path
+
+TIER1 = ["-m", "pytest", "-q", "--continue-on-collection-errors"]
 
 
 def _revision(root: Path) -> str | None:
@@ -42,6 +51,25 @@ def _run(root: Path, command: list[str], workload: str, seed: int, seconds: int,
     if done.returncode != 0 or not lines:
         return {"correct": False, "error": done.stderr.strip()[-500:], "metrics": {}}
     return json.loads(lines[-1])
+
+
+def _tier1(root: Path) -> dict:
+    """Run the Tier-1 tests from `root` once: wall time, exit code, summary counts."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, ["src", os.environ.get("PYTHONPATH")])
+    )
+    start = time.perf_counter()
+    done = subprocess.run([sys.executable, *TIER1], cwd=root, env=env,
+                          capture_output=True, text=True)
+    wall = time.perf_counter() - start
+    lines = done.stdout.strip().splitlines()
+    summary = lines[-1] if lines else ""
+    counts = {"passed": 0, "failed": 0}
+    pattern = r"(\d+) (passed|failed|errors?|skipped|xfailed|xpassed)"
+    counts.update((kind, int(k)) for k, kind in re.findall(pattern, summary))
+    return {"wall_s": round(wall, 2), "returncode": done.returncode,
+            "summary": summary, **counts}
 
 
 def _values(runs: list[dict], name: str) -> list[float]:
@@ -84,6 +112,10 @@ def main() -> int:
         },
         "workloads": {},
     }
+    result["tier1"] = {}
+    for side, root in (("base", base), ("head", head)):
+        print(f"tier1: {side}", file=sys.stderr, flush=True)
+        result["tier1"][side] = _tier1(root)
     all_correct = True
     for workload in (w["name"] for w in bench["workloads"]):
         runs = {"base": [], "head": []}

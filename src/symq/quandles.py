@@ -196,10 +196,6 @@ def quandle_map(
 
 # -- isomorphism search ---------------------------------------------------------
 
-def _column_profiles(q: FiniteQuandle) -> list[tuple[int, ...]]:
-    return [perms.cycle_type(q.column(y)) for y in range(q.order)]
-
-
 def _iso_search(
     q1: FiniteQuandle,
     q2: FiniteQuandle,
@@ -216,13 +212,22 @@ def _iso_search(
     constraint f(rho1(x)) = rho2(f(x)).  Variables are assigned in ascending
     element order with ascending candidate values, so results come out in
     lexicographic order and a self-search always reports the identity first.
+    One budget node is charged per candidate tried.  Each assignment a -> b
+    implies f(a ^ c) = b ^ f(c) and f(c ^ a) = f(c) ^ b for every element c
+    that already has an image; an implied pair whose left side already has
+    an image is checked in place, and only pairs for unassigned elements are
+    queued.  The closure is the same in any processing order, so the search
+    tree does not depend on it.
     """
     n = q1.order
     if q2.order != n:
         return []
     op1, op2 = q1.op, q2.op
-    prof1 = _column_profiles(q1)
-    prof2 = _column_profiles(q2)
+    # columns: cols[a][c] = c ^ a
+    cols1 = tuple(zip(*op1))
+    cols2 = cols1 if q2 is q1 else tuple(zip(*op2))
+    prof1 = [perms.cycle_type(col) for col in cols1]
+    prof2 = prof1 if q2 is q1 else [perms.cycle_type(col) for col in cols2]
     if sorted(prof1) != sorted(prof2):
         return []
 
@@ -237,11 +242,13 @@ def _iso_search(
         cand.append(tuple(options))
     cand_sets = [frozenset(c) for c in cand]
 
+    equivariant = rho1 is not None and rho2 is not None
     img = [-1] * n
     used = [False] * n
+    done: list[int] = []  # the elements with an image, in assignment order
     results: list[tuple[int, ...]] = []
 
-    def assign(x: int, v: int, trail: list[int]) -> bool:
+    def assign(x: int, v: int) -> bool:
         stack = [(x, v)]
         while stack:
             a, b = stack.pop()
@@ -253,19 +260,34 @@ def _iso_search(
                 return False
             img[a] = b
             used[b] = True
-            trail.append(a)
-            if rho1 is not None and rho2 is not None:
+            done.append(a)
+            if equivariant:
                 stack.append((rho1[a], rho2[b]))
-            for c in range(n):
+            row1, col1, row2, col2 = op1[a], cols1[a], op2[b], cols2[b]
+            # the implied pairs (a ^ c, b ^ f(c)) and (c ^ a, f(c) ^ b)
+            for c in done:
                 ic = img[c]
-                if ic < 0:
-                    continue
-                stack.append((op1[a][c], op2[b][ic]))
-                stack.append((op1[c][a], op2[ic][b]))
+                t, u = row1[c], row2[ic]
+                it = img[t]
+                if it < 0:
+                    if used[u]:
+                        return False
+                    stack.append((t, u))
+                elif it != u:
+                    return False
+                t, u = col1[c], col2[ic]
+                it = img[t]
+                if it < 0:
+                    if used[u]:
+                        return False
+                    stack.append((t, u))
+                elif it != u:
+                    return False
         return True
 
-    def undo(trail: list[int]) -> None:
-        for a in reversed(trail):
+    def undo(mark: int) -> None:
+        while len(done) > mark:
+            a = done.pop()
             used[img[a]] = False
             img[a] = -1
 
@@ -279,10 +301,10 @@ def _iso_search(
             if used[v]:
                 continue
             budget.spend()
-            trail: list[int] = []
-            if assign(x, v, trail) and search(x + 1):
+            mark = len(done)
+            if assign(x, v) and search(x + 1):
                 return True
-            undo(trail)
+            undo(mark)
         return False
 
     search(0)

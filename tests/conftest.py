@@ -53,3 +53,20 @@ def q5(z5, doubling_aut):
 def small_family():
     """Catalog family up to order 8, reused by oracle-equality tests."""
     return symq.catalog_family(8)
+
+
+@pytest.fixture(scope="session")
+def a5_connected_keis():
+    """(automorphism, quandle) of every connected kei built on A5.
+
+    In `enumerate_automorphisms` order.  Each has four fixed self-inverse
+    elements, so these are the entries where the theorem route does more
+    than count one class.
+    """
+    g = symq.alternating_group(5)
+    entries = []
+    for phi in symq.enumerate_automorphisms(g):
+        q = symq.galex(g, phi)
+        if symq.is_kei(q) and symq.is_connected(q):
+            entries.append((phi, q))
+    return entries

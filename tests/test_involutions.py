@@ -1,3 +1,5 @@
+from collections import Counter
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -275,6 +277,20 @@ def test_cross_check_alternating_multi_class():
     assert len(result.good_involutions) == 2
     assert result.bruteforce_count == result.theorem_count == 2
     assert result.agreement is True
+
+
+def test_cross_check_every_a5_connected_kei(a5_connected_keis):
+    # the routes agree on all 25 connected keis of A5, where the four fixed
+    # self-inverse elements fall into two or three classes
+    pairs = Counter()
+    for phi, _ in a5_connected_keis:
+        g = phi.group
+        assert len(symq.fixed_two_torsion(g, phi)) >= 2
+        result = symq.cross_check_sq(g, phi)
+        assert result.agreement is True
+        pairs[len(result.good_involutions), result.bruteforce_count] += 1
+    assert len(a5_connected_keis) >= 25
+    assert pairs == Counter({(4, 2): 10, (4, 3): 15})
 
 
 # -- structural properties ---------------------------------------------------------------

@@ -6,6 +6,9 @@ from hypothesis import strategies as st
 
 import symq
 from symq import errors
+from symq.budget import SearchBudget
+from symq.perms import compose, invert
+from symq.quandles import _iso_search
 
 
 def r3_table():
@@ -171,6 +174,81 @@ def test_r3_not_isomorphic_to_trivial(r3):
 def test_self_search_reports_identity_first(r4):
     first = symq.quandle_isomorphisms(r4, r4, find_all=False)
     assert first[0].perm == (0, 1, 2, 3)
+
+
+def test_rho_search_matches_filter_small_keis():
+    # for every kei of order <= 6 and every pair (a, b) of its good
+    # involutions, the search lists exactly the automorphisms f with
+    # f . a = b . f, in lexicographic order
+    seen = set()
+    for entry in symq.catalog_entries(6):
+        q = symq.galex(entry.group, entry.aut)
+        if not symq.is_kei(q) or q.op in seen:
+            continue
+        seen.add(q.op)
+        auts = []
+        for p in permutations(range(q.order)):
+            try:
+                symq.quandle_map(q, q, p)
+            except errors.NotOpPreserving:
+                continue
+            auts.append(p)
+        rhos = [g.rho for g in symq.enumerate_good_involutions(q)]
+        for a in rhos:
+            # f . a = b . f exactly when b = f . a . f^-1
+            by_b = {}
+            for f in auts:
+                by_b.setdefault(compose(compose(f, a), invert(f)), []).append(f)
+            for b in rhos:
+                found = _iso_search(
+                    q, q, find_all=True, budget=SearchBudget(), rho1=a, rho2=b
+                )
+                assert found == by_b.get(b, []), (entry.label, a, b)
+    assert len(seen) == 18
+
+
+# Nodes each search needs, recorded before implied pairs were checked in
+# place.  The search tree fixes them, and with them every budget outcome.
+
+
+def run_with_exact_budget(nodes, call):
+    """call(nodes), after checking that one node fewer runs out."""
+    with pytest.raises(errors.SearchBudgetExceeded):
+        call(nodes - 1)
+    return call(nodes)
+
+
+@pytest.mark.parametrize("index, classes, nodes", [(0, 2, 380), (4, 3, 33_275)])
+def test_bruteforce_node_count_a5(a5_connected_keis, index, classes, nodes):
+    q = a5_connected_keis[index][1]
+    result = run_with_exact_budget(
+        nodes, lambda b: symq.classify_sq_bruteforce(q, budget=b)
+    )
+    assert (len(result.good_involutions), result.bruteforce_count) == (4, classes)
+
+
+def test_bruteforce_node_count_trivial_order_8():
+    q = symq.validate_quandle(trivial_table(8))
+    result = run_with_exact_budget(
+        13_823, lambda b: symq.classify_sq_bruteforce(q, budget=b)
+    )
+    assert (len(result.good_involutions), result.bruteforce_count) == (764, 5)
+
+
+def test_isomorphisms_node_count_a4_kei():
+    g = symq.alternating_group(4)
+    phi = symq.validate_automorphism(g, [0, 2, 1, 3, 5, 4, 9, 10, 11, 6, 7, 8])
+    q = symq.galex(g, phi)
+    # the same quandle with its labels reversed, so the search crosses tables
+    n = q.order
+    flipped = symq.validate_quandle(
+        [[n - 1 - q.op[n - 1 - x][n - 1 - y] for y in range(n)] for x in range(n)]
+    )
+    maps = run_with_exact_budget(
+        864, lambda b: symq.quandle_isomorphisms(q, flipped, find_all=True, budget=b)
+    )
+    assert len(maps) == 48
+    assert maps[0].perm == (0, 4, 6, 3, 10, 2, 7, 5, 11, 1, 9, 8)
 
 
 def test_quandle_map_factory_rejects_bad_maps(r3):
