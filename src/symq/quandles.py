@@ -231,10 +231,11 @@ def _iso_search(
     if sorted(prof1) != sorted(prof2):
         return []
 
+    equivariant = rho1 is not None and rho2 is not None
     cand: list[tuple[int, ...]] = []
     for x in range(n):
         options = [v for v in range(n) if prof2[v] == prof1[x]]
-        if rho1 is not None and rho2 is not None:
+        if equivariant:
             fixed = rho1[x] == x
             options = [v for v in options if (rho2[v] == v) == fixed]
         if not options:
@@ -242,7 +243,6 @@ def _iso_search(
         cand.append(tuple(options))
     cand_sets = [frozenset(c) for c in cand]
 
-    equivariant = rho1 is not None and rho2 is not None
     img = [-1] * n
     used = [False] * n
     done: list[int] = []  # the elements with an image, in assignment order
@@ -307,7 +307,13 @@ def _iso_search(
             undo(mark)
         return False
 
-    search(0)
+    try:
+        search(0)
+    finally:
+        # search reaches itself through its closure; clearing the name breaks
+        # that cycle, so the search state is freed on return instead of
+        # piling up until a full garbage collection
+        del search
     return results
 
 
