@@ -9,13 +9,15 @@ from each checkout root in turn: twice with `--trace 0`, the first round
 BASE first and the second HEAD first, then once each with `--trace 1`.
 Every run gets the file's `run_seconds`.  The output holds, per workload,
 each end-to-end metric's runs, medians, relative change and whether the
-change is worse than the metric's bound, and each per-layer metric of the
-traced runs.  Before the workloads it runs the Tier-1 test command
-(`python -m pytest -q --continue-on-collection-errors` with `src` on
-PYTHONPATH) once from each checkout root and records, under `tier1`, its
-raw wall time in seconds (not scaled to a reference speed), exit code and
-the counts of its pytest summary line.  Exit code 0 when every benchmark
-run reported correct outputs, else 1.
+change is worse than the metric's bound, the number of timed passes of
+each `--trace 0` run (in the order of the metric's runs), and each
+per-layer metric of the traced runs.  Before the workloads it runs the
+Tier-1 test command (`python -m pytest -q --continue-on-collection-errors`
+with `src` on PYTHONPATH) once from each checkout root and records, under
+`tier1`, its raw wall time in seconds (not scaled to a reference speed),
+exit code and the counts of its pytest summary line.  Exit code 0 when
+both Tier-1 runs exited 0 and every benchmark run reported correct
+outputs, else 1.
 """
 
 from __future__ import annotations
@@ -43,14 +45,22 @@ def _revision(root: Path) -> str | None:
 
 def _run(root: Path, command: list[str], workload: str, seed: int, seconds: int,
          trace: int) -> dict:
-    """One benchmark run from `root`; its last stdout line is the result object."""
+    """One benchmark run from `root`; its last stdout line is the result object.
+
+    `timed_passes` is the number of passes on the run's `timed passes [...]`
+    line, since a peak memory figure grows with the passes a run fits in.
+    """
     argv = command + ["--workload", workload, "--seed", str(seed),
                       "--seconds", str(seconds), "--trace", str(trace)]
     done = subprocess.run(argv, cwd=root, capture_output=True, text=True)
     lines = done.stdout.strip().splitlines()
     if done.returncode != 0 or not lines:
         return {"correct": False, "error": done.stderr.strip()[-500:], "metrics": {}}
-    return json.loads(lines[-1])
+    result = json.loads(lines[-1])
+    walls = re.search(r"timed passes \[([^\]]*)\]", done.stdout)
+    if walls is not None:
+        result["timed_passes"] = len(walls.group(1).split(","))
+    return result
 
 
 def _tier1(root: Path) -> dict:
@@ -136,6 +146,9 @@ def main() -> int:
         all_correct &= all(correct["base"]) and all(correct["head"])
         result["workloads"][workload] = {
             "correct": correct,
+            "timed_passes": {
+                side: [r.get("timed_passes") for r in runs[side]] for side in runs
+            },
             "end_to_end": {
                 spec["name"]: _compare(
                     spec, _values(runs["base"], spec["name"]),
@@ -152,7 +165,8 @@ def main() -> int:
             },
         }
         args.out.write_text(json.dumps(result, indent=1, sort_keys=True) + "\n")
-    return 0 if all_correct else 1
+    tests_pass = all(run["returncode"] == 0 for run in result["tier1"].values())
+    return 0 if tests_pass and all_correct else 1
 
 
 if __name__ == "__main__":

@@ -85,7 +85,6 @@ from .involutions import (
 )
 from .quandles import (
     FiniteQuandle,
-    GalexOrigin,
     QuandleMap,
     affine_automorphism,
     f_sharp,

@@ -134,6 +134,8 @@ def run_catalog(
     whose automorphisms exhaust the budget gets one placeholder report.
     Entries with the same quandle table share one oracle run and one
     partition, and each entry is charged their nodes as if it had run them.
+    Their reports hold one `good_involutions` list object between them, so
+    reports are read-only: change one and the others change with it.
     """
     resolved = resolve_budget(budget)
     reports = []
@@ -146,7 +148,7 @@ def run_catalog(
             # the family ascends by order and tables of different orders
             # never match; holding one order's results keeps the peak memory
             # of a sweep below what recomputing them costs
-            order, reuse = group.order, {}
+            order, reuse, lists = group.order, {}, {}
         try:
             auts = enumerate_automorphisms(group, resolved)
         except SearchBudgetExceeded as exc:
@@ -164,7 +166,14 @@ def run_catalog(
                 for aut in auts
             )
         for result in analyses:
-            reports.append(_analysis_report(result, label, None))
+            report = _analysis_report(result, label, None)
+            if result.good_involutions is not None:
+                # one list for equal involution lists: the three order-12
+                # trivial tables hold 140,152 involutions each
+                report["good_involutions"] = lists.setdefault(
+                    result.good_involutions, report["good_involutions"]
+                )
+            reports.append(report)
             if result.agreement is not None:
                 hypothesis_met += 1
                 failures += result.agreement is False

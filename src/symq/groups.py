@@ -1,5 +1,9 @@
 """Finite groups as Cayley tables, their automorphisms, and orbit machinery.
 
+The backtracking search for operation-preserving bijections between two
+tables lives here, the lowest module, because both group automorphisms and
+quandle isomorphisms are found with it.
+
 Elements are 0-based indices into an order-n multiplication table.  All types
 are immutable after construction and safe to share between threads.
 """
@@ -55,15 +59,6 @@ class FiniteGroup:
     identity: int
     inverse: tuple[int, ...]
 
-    def mul(self, a: int, b: int) -> int:
-        return self.product[a][b]
-
-    def inv_of(self, a: int) -> int:
-        return self.inverse[a]
-
-    def elements(self) -> range:
-        return range(self.order)
-
 
 @dataclass(frozen=True)
 class GroupAutomorphism:
@@ -71,12 +66,6 @@ class GroupAutomorphism:
 
     group: FiniteGroup
     perm: tuple[int, ...]
-
-    def apply(self, x: int) -> int:
-        return self.perm[x]
-
-    def inverse_perm(self) -> tuple[int, ...]:
-        return perms.invert(self.perm)
 
     def is_identity(self) -> bool:
         return self.perm == perms.identity_perm(self.group.order)
@@ -330,189 +319,155 @@ def validate_automorphism(
     return GroupAutomorphism(group=group, perm=p)
 
 
-def _element_orders(group: FiniteGroup) -> list[int]:
-    orders = []
-    for a in range(group.order):
-        x = a
-        k = 1
-        while x != group.identity:
-            x = group.product[x][a]
-            k += 1
-        orders.append(k)
-    return orders
+# -- isomorphism search (shared with the quandle side) ----------------------------
 
-
-def _generating_sequence(group: FiniteGroup) -> list[int]:
-    """Greedy generating sequence, always picking the smallest outside element."""
-    n = group.order
-    span = {group.identity}
-    gens: list[int] = []
-    while len(span) < n:
-        nxt = min(i for i in range(n) if i not in span)
-        gens.append(nxt)
-        span.add(nxt)
-        changed = True
-        while changed:
-            changed = False
-            current = list(span)
-            for a in current:
-                row = group.product[a]
-                for b in current:
-                    c = row[b]
-                    if c not in span:
-                        span.add(c)
-                        changed = True
-    return gens
-
-
-def _automorphisms_by_scan(group: FiniteGroup, budget: SearchBudget) -> list[tuple[int, ...]]:
-    """Filter every permutation that fixes the identity; only sane for small n.
-
-    Not used by the package: it is the independent reference that the tests
-    compare the backtracking search against.
-    """
-    n = group.order
-    e = group.identity
-    table = group.product
-    found = []
-    rng = range(n)
-    for cand in permutations(rng):
-        budget.spend()
-        if cand[e] != e:
-            continue
-        ok = True
-        for i in rng:
-            ci = cand[i]
-            row = table[i]
-            trow = table[ci]
-            for j in rng:
-                if cand[row[j]] != trow[cand[j]]:
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
-            found.append(cand)
-    return found
-
-
-def _automorphisms_by_backtracking(
-    group: FiniteGroup,
+def _iso_search(
+    op1: Sequence[Sequence[int]],
+    op2: Sequence[Sequence[int]],
+    *,
+    find_all: bool,
     budget: SearchBudget,
-    commute: tuple[int, ...] | None = None,
+    rho1: Sequence[int] | None = None,
+    rho2: Sequence[int] | None = None,
 ) -> list[tuple[int, ...]]:
-    """Backtrack over generator images, pruning candidates by element order.
+    """Backtracking search for bijections f with f(x * y) = f(x) * f(y).
 
-    A partial choice of generator images is extended by closure: whenever two
-    elements have images, their product must map to the product of the images.
-    Any clash kills the branch; a full, injective image is an automorphism.
-    With `commute` = phi, only automorphisms psi with psi . phi = phi . psi
-    are searched: each image img[z] also forces img[phi(z)] = phi(img[z]), and
-    a generator whose image is already forced is not branched on.
+    The one isomorphism search of the package.  On the quandle side op1 and
+    op2 are quandle operations, and with rho1, rho2 the search lists the
+    symmetric-quandle isomorphisms.  On the group side both are one
+    multiplication table, so the maps are the automorphisms, and with
+    rho1 = rho2 = phi the automorphisms that commute with phi.
+
+    Candidate images are pruned by the cycle type of the column x -> x * a
+    (preserved by any isomorphism; on a group table it is pruning by element
+    order) and, when the rho pair is given, by the equivariance constraint
+    f(rho1(x)) = rho2(f(x)).  Variables are assigned in ascending element
+    order with ascending candidate values, so results come out in
+    lexicographic order and a self-search always reports the identity first.
+    One budget node is charged per candidate tried.  Each assignment a -> b
+    implies f(a * c) = b * f(c) and f(c * a) = f(c) * b for every element c
+    that already has an image; an implied pair whose left side already has
+    an image is checked in place, and only pairs for unassigned elements are
+    queued.  The closure is the same in any processing order, so the search
+    tree does not depend on it.  Passing the same table object twice marks a
+    self-search, whose column data is computed once.
     """
-    n = group.order
-    table = group.product
-    orders = _element_orders(group)
-    gens = _generating_sequence(group)
+    n = len(op1)
+    if len(op2) != n:
+        return []
+    # columns: cols[a][c] = c * a
+    cols1 = tuple(zip(*op1))
+    cols2 = cols1 if op2 is op1 else tuple(zip(*op2))
+    prof1 = [perms.cycle_type(col) for col in cols1]
+    prof2 = prof1 if op2 is op1 else [perms.cycle_type(col) for col in cols2]
+    if sorted(prof1) != sorted(prof2):
+        return []
+
+    equivariant = rho1 is not None and rho2 is not None
+    cand: list[tuple[int, ...]] = []
+    for x in range(n):
+        options = [v for v in range(n) if prof2[v] == prof1[x]]
+        if equivariant:
+            fixed = rho1[x] == x
+            options = [v for v in options if (rho2[v] == v) == fixed]
+        if not options:
+            return []
+        cand.append(tuple(options))
+    cand_sets = [frozenset(c) for c in cand]
+
     img = [-1] * n
-    img[group.identity] = group.identity
-    known = [group.identity]
+    used = [False] * n
+    done: list[int] = []  # the elements with an image, in assignment order
     results: list[tuple[int, ...]] = []
 
-    def close_over(start: int) -> list[int] | None:
-        """Extend img by products with all known elements; None on clash."""
-        added = []
-        queue = [start]
+    def assign(x: int, v: int) -> bool:
+        stack = [(x, v)]
+        while stack:
+            a, b = stack.pop()
+            if img[a] >= 0:
+                if img[a] != b:
+                    return False
+                continue
+            if used[b] or b not in cand_sets[a]:
+                return False
+            img[a] = b
+            used[b] = True
+            done.append(a)
+            if equivariant:
+                stack.append((rho1[a], rho2[b]))
+            row1, col1, row2, col2 = op1[a], cols1[a], op2[b], cols2[b]
+            # the implied pairs (a * c, b * f(c)) and (c * a, f(c) * b)
+            for c in done:
+                ic = img[c]
+                t, u = row1[c], row2[ic]
+                it = img[t]
+                if it < 0:
+                    if used[u]:
+                        return False
+                    stack.append((t, u))
+                elif it != u:
+                    return False
+                t, u = col1[c], col2[ic]
+                it = img[t]
+                if it < 0:
+                    if used[u]:
+                        return False
+                    stack.append((t, u))
+                elif it != u:
+                    return False
+        return True
 
-        def force(z: int, iz: int) -> bool:
-            if img[z] < 0:
-                img[z] = iz
-                known.append(z)
-                added.append(z)
-                queue.append(z)
-                return True
-            return img[z] == iz
+    def undo(mark: int) -> None:
+        while len(done) > mark:
+            a = done.pop()
+            used[img[a]] = False
+            img[a] = -1
 
-        while queue:
-            c = queue.pop()
-            budget.spend()
-            if commute is not None and not force(commute[c], commute[img[c]]):
-                undo(added)
-                return None
-            for a in list(known):
-                for x, y in ((a, c), (c, a), (c, c)):
-                    # force() inlined: a call per product slows the search by a third
-                    z = table[x][y]
-                    iz = table[img[x]][img[y]]
-                    if img[z] < 0:
-                        img[z] = iz
-                        known.append(z)
-                        added.append(z)
-                        queue.append(z)
-                    elif img[z] != iz:
-                        undo(added)
-                        return None
-        return added
-
-    def undo(added: list[int]) -> None:
-        for w in added:
-            img[w] = -1
-        del known[len(known) - len(added):]
-
-    def rec(gi: int) -> None:
-        if gi == len(gens):
-            if len(set(img)) == n:
-                results.append(tuple(img))
-            return
-        g = gens[gi]
-        if img[g] >= 0:
-            rec(gi + 1)
-            return
-        want = orders[g]
-        for h in range(n):
-            if orders[h] != want:
+    def search(x: int) -> bool:
+        while x < n and img[x] >= 0:
+            x += 1
+        if x == n:
+            results.append(tuple(img))
+            return not find_all
+        for v in cand[x]:
+            if used[v]:
                 continue
             budget.spend()
-            img[g] = h
-            known.append(g)
-            added = close_over(g)
-            if added is not None:
-                rec(gi + 1)
-                undo(added)
-            img[g] = -1
-            known.pop()
+            mark = len(done)
+            if assign(x, v) and search(x + 1):
+                return True
+            undo(mark)
+        return False
 
-    rec(0)
+    try:
+        search(0)
+    finally:
+        # search reaches itself through its closure; clearing the name breaks
+        # that cycle, so the search state is freed on return instead of
+        # piling up until a full garbage collection
+        del search
     return results
-
-
-def _automorphisms(
-    group: FiniteGroup,
-    budget: SearchBudget,
-    commute: tuple[int, ...] | None = None,
-) -> list[GroupAutomorphism]:
-    found = _automorphisms_by_backtracking(group, budget, commute)
-    return [GroupAutomorphism(group=group, perm=p) for p in sorted(found)]
 
 
 def enumerate_automorphisms(
     group: FiniteGroup, budget: int | None = None
 ) -> list[GroupAutomorphism]:
     """All automorphisms, in lexicographic order of their one-line notation."""
-    return _automorphisms(group, SearchBudget(budget))
-
-
-def _centralizer(
-    group: FiniteGroup, phi: GroupAutomorphism, budget: SearchBudget
-) -> list[GroupAutomorphism]:
-    return _automorphisms(group, budget, commute=phi.perm)
+    table = group.product
+    found = _iso_search(table, table, find_all=True, budget=SearchBudget(budget))
+    return [GroupAutomorphism(group=group, perm=p) for p in found]
 
 
 def centralizer_in_aut(
     group: FiniteGroup, phi: GroupAutomorphism, budget: int | None = None
 ) -> list[GroupAutomorphism]:
     """Automorphisms commuting with phi, a subgroup containing id and phi."""
-    return _centralizer(group, phi, SearchBudget(budget))
+    table = group.product
+    found = _iso_search(
+        table, table, find_all=True, budget=SearchBudget(budget),
+        rho1=phi.perm, rho2=phi.perm,
+    )
+    return [GroupAutomorphism(group=group, perm=p) for p in found]
 
 
 def fixed_two_torsion(group: FiniteGroup, phi: GroupAutomorphism) -> ElementSet:

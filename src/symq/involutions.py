@@ -27,15 +27,13 @@ from .groups import (
     FiniteGroup,
     GroupAutomorphism,
     OrbitPartition,
-    _centralizer,
+    _iso_search,
     fixed_two_torsion,
     orbits_under,
 )
 from .quandles import (
     FiniteQuandle,
-    GalexOrigin,
     QuandleMap,
-    _iso_search,
     galex,
     inner_orbits,
     is_kei,
@@ -103,7 +101,7 @@ class SqClassification:
     """
 
     order: int
-    origin: GalexOrigin | None
+    origin: GroupAutomorphism | None
     good_involutions: tuple[tuple[int, ...], ...] | None = None
     classes_bruteforce: tuple[tuple[int, ...], ...] | None = None
     classes_theorem: tuple[TheoremClass, ...] | None = None
@@ -351,8 +349,8 @@ def symmetric_quandle_isomorphic(
         return None
     tracker = SearchBudget(budget)
     found = _iso_search(
-        a.quandle,
-        b.quandle,
+        a.quandle.op,
+        b.quandle.op,
         find_all=False,
         budget=tracker,
         rho1=a.rho,
@@ -422,7 +420,7 @@ def _partition_by_isomorphism(
                 continue
             tried.add(rr)
             found = _iso_search(
-                q, q, find_all=False, budget=budget, rho1=rhos[r], rho2=rhos[i]
+                q.op, q.op, find_all=False, budget=budget, rho1=rhos[r], rho2=rhos[i]
             )
             if found:
                 union(r, i)
@@ -439,13 +437,17 @@ def _partition_by_isomorphism(
 
 
 def _theorem_classes(
-    origin: GalexOrigin, fixed: tuple[int, ...], budget: SearchBudget
+    phi: GroupAutomorphism, fixed: tuple[int, ...], budget: SearchBudget
 ) -> tuple[TheoremClass, ...]:
-    """Orbits of the centralizer of the twist on the fixed self-inverse elements."""
+    """Orbits of the centralizer of the twist phi on the fixed self-inverse elements."""
     position = {r: i for i, r in enumerate(fixed)}
     restricted = []
-    for psi in _centralizer(origin.group, origin.aut, budget):
-        images = [psi.perm[r] for r in fixed]
+    table = phi.group.product
+    centralizer = _iso_search(
+        table, table, find_all=True, budget=budget, rho1=phi.perm, rho2=phi.perm
+    )
+    for psi in centralizer:
+        images = [psi[r] for r in fixed]
         if any(img not in position for img in images):
             raise InternalConsistencyError(
                 "fixed self-inverse set is not stable under the centralizer"
@@ -516,7 +518,7 @@ def _analyze(
     witness = kei_witness(q)
     orbits = inner_orbits(q)
     fixed = (
-        None if origin is None else fixed_two_torsion(origin.group, origin.aut).members
+        None if origin is None else fixed_two_torsion(origin.group, origin).members
     )
     facts = dict(
         order=q.order,

@@ -29,12 +29,12 @@ from .groups import (
     GroupAutomorphism,
     OrbitPartition,
     _check_table_shape,
+    _iso_search,
     orbits_under,
     validate_automorphism,
 )
 
 __all__ = [
-    "GalexOrigin",
     "FiniteQuandle",
     "QuandleMap",
     "validate_quandle",
@@ -52,19 +52,12 @@ __all__ = [
 
 
 @dataclass(frozen=True)
-class GalexOrigin:
-    """Construction record: which (group, automorphism) pair built a quandle."""
-
-    group: FiniteGroup
-    aut: GroupAutomorphism
-
-
-@dataclass(frozen=True)
 class FiniteQuandle:
     order: int
     op: tuple[tuple[int, ...], ...]
     inv_op: tuple[tuple[int, ...], ...]
-    origin: GalexOrigin | None = None
+    # the twist phi that galex built this quandle from; phi.group is the group
+    origin: GroupAutomorphism | None = None
 
     def column(self, y: int) -> tuple[int, ...]:
         """The inner permutation x -> x ^ y."""
@@ -78,9 +71,6 @@ class QuandleMap:
     source: FiniteQuandle
     target: FiniteQuandle
     perm: tuple[int, ...]
-
-    def apply(self, x: int) -> int:
-        return self.perm[x]
 
 
 def validate_quandle(op_table: Sequence[Sequence[int]]) -> FiniteQuandle:
@@ -153,7 +143,7 @@ def galex(group: FiniteGroup, phi: GroupAutomorphism) -> FiniteQuandle:
         order=n,
         op=tuple(op),
         inv_op=tuple(inv_op),
-        origin=GalexOrigin(group=group, aut=phi),
+        origin=phi,
     )
 
 
@@ -194,129 +184,6 @@ def quandle_map(
     return QuandleMap(source=source, target=target, perm=p)
 
 
-# -- isomorphism search ---------------------------------------------------------
-
-def _iso_search(
-    q1: FiniteQuandle,
-    q2: FiniteQuandle,
-    *,
-    find_all: bool,
-    budget: SearchBudget,
-    rho1: Sequence[int] | None = None,
-    rho2: Sequence[int] | None = None,
-) -> list[tuple[int, ...]]:
-    """Backtracking search for op-preserving bijections q1 -> q2.
-
-    Candidate images are pruned by inner-permutation cycle type (preserved by
-    any isomorphism) and, when the rho pair is given, by the equivariance
-    constraint f(rho1(x)) = rho2(f(x)).  Variables are assigned in ascending
-    element order with ascending candidate values, so results come out in
-    lexicographic order and a self-search always reports the identity first.
-    One budget node is charged per candidate tried.  Each assignment a -> b
-    implies f(a ^ c) = b ^ f(c) and f(c ^ a) = f(c) ^ b for every element c
-    that already has an image; an implied pair whose left side already has
-    an image is checked in place, and only pairs for unassigned elements are
-    queued.  The closure is the same in any processing order, so the search
-    tree does not depend on it.
-    """
-    n = q1.order
-    if q2.order != n:
-        return []
-    op1, op2 = q1.op, q2.op
-    # columns: cols[a][c] = c ^ a
-    cols1 = tuple(zip(*op1))
-    cols2 = cols1 if q2 is q1 else tuple(zip(*op2))
-    prof1 = [perms.cycle_type(col) for col in cols1]
-    prof2 = prof1 if q2 is q1 else [perms.cycle_type(col) for col in cols2]
-    if sorted(prof1) != sorted(prof2):
-        return []
-
-    equivariant = rho1 is not None and rho2 is not None
-    cand: list[tuple[int, ...]] = []
-    for x in range(n):
-        options = [v for v in range(n) if prof2[v] == prof1[x]]
-        if equivariant:
-            fixed = rho1[x] == x
-            options = [v for v in options if (rho2[v] == v) == fixed]
-        if not options:
-            return []
-        cand.append(tuple(options))
-    cand_sets = [frozenset(c) for c in cand]
-
-    img = [-1] * n
-    used = [False] * n
-    done: list[int] = []  # the elements with an image, in assignment order
-    results: list[tuple[int, ...]] = []
-
-    def assign(x: int, v: int) -> bool:
-        stack = [(x, v)]
-        while stack:
-            a, b = stack.pop()
-            if img[a] >= 0:
-                if img[a] != b:
-                    return False
-                continue
-            if used[b] or b not in cand_sets[a]:
-                return False
-            img[a] = b
-            used[b] = True
-            done.append(a)
-            if equivariant:
-                stack.append((rho1[a], rho2[b]))
-            row1, col1, row2, col2 = op1[a], cols1[a], op2[b], cols2[b]
-            # the implied pairs (a ^ c, b ^ f(c)) and (c ^ a, f(c) ^ b)
-            for c in done:
-                ic = img[c]
-                t, u = row1[c], row2[ic]
-                it = img[t]
-                if it < 0:
-                    if used[u]:
-                        return False
-                    stack.append((t, u))
-                elif it != u:
-                    return False
-                t, u = col1[c], col2[ic]
-                it = img[t]
-                if it < 0:
-                    if used[u]:
-                        return False
-                    stack.append((t, u))
-                elif it != u:
-                    return False
-        return True
-
-    def undo(mark: int) -> None:
-        while len(done) > mark:
-            a = done.pop()
-            used[img[a]] = False
-            img[a] = -1
-
-    def search(x: int) -> bool:
-        while x < n and img[x] >= 0:
-            x += 1
-        if x == n:
-            results.append(tuple(img))
-            return not find_all
-        for v in cand[x]:
-            if used[v]:
-                continue
-            budget.spend()
-            mark = len(done)
-            if assign(x, v) and search(x + 1):
-                return True
-            undo(mark)
-        return False
-
-    try:
-        search(0)
-    finally:
-        # search reaches itself through its closure; clearing the name breaks
-        # that cycle, so the search state is freed on return instead of
-        # piling up until a full garbage collection
-        del search
-    return results
-
-
 def quandle_isomorphisms(
     q1: FiniteQuandle,
     q2: FiniteQuandle,
@@ -328,7 +195,7 @@ def quandle_isomorphisms(
     An empty list is conclusive: the search is exhaustive up to its budget.
     """
     tracker = SearchBudget(budget)
-    found = _iso_search(q1, q2, find_all=find_all, budget=tracker)
+    found = _iso_search(q1.op, q2.op, find_all=find_all, budget=tracker)
     return [QuandleMap(source=q1, target=q2, perm=p) for p in found]
 
 
@@ -340,7 +207,7 @@ def quandle_automorphisms(
 
 # -- structure maps of twisted-conjugation quandles -----------------------------
 
-def _require_origin(q: FiniteQuandle) -> GalexOrigin:
+def _require_origin(q: FiniteQuandle) -> GroupAutomorphism:
     if q.origin is None:
         raise NotGalexOrigin(
             "quandle was not built from a (group, automorphism) pair"
@@ -369,7 +236,7 @@ def f_sharp(q: FiniteQuandle, f: QuandleMap) -> GroupAutomorphism:
         raise InternalConsistencyError(
             f"normalized map is not a group automorphism: {exc}"
         ) from None
-    phi = origin.aut.perm
+    phi = origin.perm
     if perms.compose(sharp.perm, phi) != perms.compose(phi, sharp.perm):
         raise InternalConsistencyError(
             "normalized automorphism does not commute with the twisting map"
@@ -387,7 +254,7 @@ def affine_automorphism(
         raise ValueError("automorphism belongs to a different group")
     if not 0 <= c < group.order:
         raise BadElement(c, group.order)
-    phi = origin.aut.perm
+    phi = origin.perm
     if perms.compose(psi.perm, phi) != perms.compose(phi, psi.perm):
         raise NotCentralizing(
             "automorphism does not commute with the twisting map"

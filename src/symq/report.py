@@ -80,7 +80,7 @@ def _analysis_report(
     return quandle_report(
         group_spec=group_spec,
         order=result.order,
-        automorphism=None if result.origin is None else list(result.origin.aut.perm),
+        automorphism=None if result.origin is None else list(result.origin.perm),
         is_kei=witness is None if known else None,
         kei_witness=None if witness is None else list(witness),
         is_connected=result.orbit_count == 1 if known else None,

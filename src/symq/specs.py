@@ -178,7 +178,7 @@ def _spec_order(spec: GroupSpec) -> int:
         return 8
     if spec.kind == "product":
         return _capped_product(_spec_order(part) for part in spec.parts)
-    return 0  # file: unknown until read
+    return 1  # file: at least 1; _realize checks the order it reads
 
 
 def _realize(spec: GroupSpec) -> FiniteGroup:
@@ -193,20 +193,28 @@ def _realize(spec: GroupSpec) -> FiniteGroup:
     if spec.kind == "quaternion":
         return quaternion_group()
     if spec.kind == "product":
-        return direct_product([_realize(part) for part in spec.parts])
-    return validate_group(read_table(spec.path))
+        parts = [_realize(part) for part in spec.parts]
+        _check_cap(spec, _capped_product(part.order for part in parts))
+        return direct_product(parts)
+    table = read_table(spec.path)
+    # before validation, whose associativity check is cubic in the order
+    _check_cap(spec, len(table))
+    return validate_group(table)
+
+
+def _check_cap(spec: GroupSpec, order: int) -> None:
+    if order > MAX_BUILT_ORDER:
+        raise UnsupportedOrder(
+            f"spec {spec.raw!r} names a group of order above "
+            f"the build cap of {MAX_BUILT_ORDER}"
+        )
 
 
 def build_group(spec: str | GroupSpec) -> FiniteGroup:
     """Build the group a spec string names; index 0 is the identity for all
     built-in constructors, file-loaded tables keep theirs wherever it sits."""
     parsed = parse_group_spec(spec) if isinstance(spec, str) else spec
-    declared = _spec_order(parsed)
-    if declared > MAX_BUILT_ORDER:
-        raise UnsupportedOrder(
-            f"spec {parsed.raw!r} names a group of order above "
-            f"the build cap of {MAX_BUILT_ORDER}"
-        )
+    _check_cap(parsed, _spec_order(parsed))
     return _realize(parsed)
 
 

@@ -1,9 +1,8 @@
-"""Plain-text table and permutation files.
+"""Plain-text table files.
 
 Format shared by group and quandle tables: '#' starts a comment, the first
 token is the order n, then n*n whitespace-separated indices follow (written
-canonically as n rows).  Permutation files are a single line of n indices.
-All files are ASCII with LF line endings.
+canonically as n rows).  All files are ASCII with LF line endings.
 """
 
 from __future__ import annotations
@@ -54,24 +53,3 @@ def format_table(table: list[list[int]] | tuple) -> str:
 def write_table(path: str | Path, table) -> None:
     Path(path).write_text(format_table(table), encoding="ascii", newline="\n")
 
-
-def parse_permutation_text(text: str) -> list[int]:
-    tokens = _tokens(text)
-    if not tokens:
-        raise MalformedTable("file contains no data")
-    try:
-        return [int(t) for t in tokens]
-    except ValueError as exc:
-        raise MalformedTable(f"non-integer token: {exc}") from None
-
-
-def read_permutation(path: str | Path) -> list[int]:
-    return parse_permutation_text(Path(path).read_text(encoding="ascii"))
-
-
-def format_permutation(perm) -> str:
-    return " ".join(str(x) for x in perm) + "\n"
-
-
-def write_permutation(path: str | Path, perm) -> None:
-    Path(path).write_text(format_permutation(perm), encoding="ascii", newline="\n")

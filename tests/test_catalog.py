@@ -91,3 +91,17 @@ def test_run_catalog_reuse_changes_nothing(max_order, budget):
     assert len(trivial) == 5
     if budget is not None:
         assert trivial == [budget == 13_823] * 5
+
+
+def test_run_catalog_reports_share_equal_involution_lists():
+    # the five phi = id entries of order 8 share the trivial table, so their
+    # reports hold one list object rather than five equal copies
+    reports, _ = symq.run_catalog(8)
+    entries = symq.catalog_entries(8)
+    trivial = [
+        report["good_involutions"]
+        for e, report in zip(entries, reports)
+        if e.group.order == 8 and e.aut.is_identity()
+    ]
+    assert len(trivial) == 5 and len(trivial[0]) == 764
+    assert all(rhos is trivial[0] for rhos in trivial)

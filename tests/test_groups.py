@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 
 import symq
 from symq import errors
-from symq.perms import compose
 
 # Latin square with identity 0 and two-sided inverses that is not associative.
 NONASSOC_LOOP = [
@@ -214,19 +213,15 @@ def test_automorphism_counts(spec, count):
     ],
 )
 def test_automorphism_counts_above_scan_threshold(builder, count):
-    # these go through the generator-image backtracking; counts are the
-    # classical values for the automorphism groups in question
+    # too large for the brute-force filter; counts are the classical values
+    # for the automorphism groups in question
     assert len(symq.enumerate_automorphisms(builder())) == count
 
 
-def test_backtracking_matches_scan(small_family):
-    from symq.budget import SearchBudget
-    from symq.groups import _automorphisms_by_backtracking, _automorphisms_by_scan
-
+def test_automorphisms_match_brute_force(small_family):
     for label, g in small_family:
-        by_track = sorted(_automorphisms_by_backtracking(g, SearchBudget()))
-        by_scan = sorted(_automorphisms_by_scan(g, SearchBudget()))
-        assert by_track == by_scan, label
+        got = [a.perm for a in symq.enumerate_automorphisms(g)]
+        assert got == brute_force_automorphisms(g), label
 
 
 def test_aut_group_closure(d3):
@@ -261,31 +256,67 @@ def test_centralizer_of_identity_is_everything(klein):
 
 
 def _centralizer_by_filter(auts, phi):
-    return [
-        a.perm
-        for a in auts
-        if compose(a.perm, phi.perm) == compose(phi.perm, a.perm)
-    ]
+    """The permutations in `auts` that commute with the permutation phi."""
+    return [a for a in auts if all(a[phi[x]] == phi[a[x]] for x in range(len(phi)))]
 
 
 def test_centralizer_matches_direct_filter(small_family):
-    # the backtracker searches the centralizer directly; filtering the whole
+    # the search finds the centralizer directly; filtering the whole
     # automorphism group is the reference
     groups = [g for _, g in small_family] + [symq.alternating_group(4)]
     for g in groups:
         auts = symq.enumerate_automorphisms(g)
         for phi in auts:
             got = [a.perm for a in symq.centralizer_in_aut(g, phi)]
-            assert got == _centralizer_by_filter(auts, phi)
+            assert got == _centralizer_by_filter([a.perm for a in auts], phi.perm)
             assert phi.perm in got
+
+
+def _a5_conjugations():
+    """Aut(A5) as S5 acting by conjugation, built without the package.
+
+    The elements are the even permutations of five points in lexicographic
+    order, as `alternating_group(5)` lists them; conjugation x -> s x s^-1
+    is multiplicative whichever way permutations are composed.  Sorted, so
+    in the order `enumerate_automorphisms` promises.
+    """
+    def even(p):
+        return sum(p[i] > p[j] for i in range(5) for j in range(i + 1, 5)) % 2 == 0
+
+    elements = [p for p in permutations(range(5)) if even(p)]
+    index = {p: i for i, p in enumerate(elements)}
+    auts = []
+    for s in permutations(range(5)):
+        s_inv = tuple(s.index(i) for i in range(5))
+        auts.append(
+            tuple(index[tuple(s[x[s_inv[i]]] for i in range(5))] for x in elements)
+        )
+    return sorted(auts)
+
+
+def test_a5_automorphisms_are_conjugations():
+    # the brute-force filter cannot reach order 60; conjugation can
+    reference = _a5_conjugations()
+    assert len(set(reference)) == 120
+    got = symq.enumerate_automorphisms(symq.alternating_group(5))
+    assert [a.perm for a in got] == reference
 
 
 def test_centralizer_matches_direct_filter_a5():
     g = symq.alternating_group(5)
-    auts = symq.enumerate_automorphisms(g)
-    for phi in (auts[0], auts[1], auts[37], auts[-1]):
+    reference = _a5_conjugations()
+    for perm in reference:
+        phi = symq.GroupAutomorphism(group=g, perm=perm)
         got = [a.perm for a in symq.centralizer_in_aut(g, phi)]
-        assert got == _centralizer_by_filter(auts, phi)
+        assert got == _centralizer_by_filter(reference, perm)
+
+
+def test_automorphism_node_count_a5():
+    # the nodes the search spends on Aut(A5), which fix its budget outcomes
+    g = symq.alternating_group(5)
+    assert len(symq.enumerate_automorphisms(g, budget=1_761)) == 120
+    with pytest.raises(errors.SearchBudgetExceeded):
+        symq.enumerate_automorphisms(g, budget=1_760)
 
 
 # -- fixed_two_torsion --------------------------------------------------------------

@@ -8,7 +8,7 @@ import symq
 from symq import errors
 from symq.budget import SearchBudget
 from symq.perms import compose, invert
-from symq.quandles import _iso_search
+from symq.groups import _iso_search
 
 
 def r3_table():
@@ -201,7 +201,7 @@ def test_rho_search_matches_filter_small_keis():
                 by_b.setdefault(compose(compose(f, a), invert(f)), []).append(f)
             for b in rhos:
                 found = _iso_search(
-                    q, q, find_all=True, budget=SearchBudget(), rho1=a, rho2=b
+                    q.op, q.op, find_all=True, budget=SearchBudget(), rho1=a, rho2=b
                 )
                 assert found == by_b.get(b, []), (entry.label, a, b)
     assert len(seen) == 18

@@ -5,9 +5,7 @@ from hypothesis import strategies as st
 import symq
 from symq import errors
 from symq.tableio import (
-    format_permutation,
     format_table,
-    parse_permutation_text,
     parse_table_text,
     read_table,
     write_table,
@@ -115,6 +113,22 @@ def test_product_of_file_and_builtin(tmp_path):
     g = symq.build_group(f"product:file:{path},cyclic:3")
     assert g.order == 6
     assert symq.is_abelian(g)
+
+
+def test_build_cap_on_file_tables(tmp_path):
+    # a table read from file is refused above the cap before validation,
+    # whose associativity check is cubic in the order: this one is no group
+    # at all, so validating it first would raise NoInverse
+    big = tmp_path / "zeros1025.txt"
+    write_table(big, [[0] * 1025] * 1025)
+    with pytest.raises(errors.UnsupportedOrder) as exc:
+        symq.build_group(f"file:{big}")
+    assert "above the build cap of 1024" in str(exc.value)
+    # a product is refused when its factors as read pass the cap
+    small = tmp_path / "c33.txt"
+    write_table(small, symq.cyclic_group(33).product)
+    with pytest.raises(errors.UnsupportedOrder):
+        symq.build_group(f"product:file:{small},file:{small}")
 
 
 def test_nested_product_is_flattened_by_hand():
@@ -226,8 +240,3 @@ def test_table_errors():
 
 def test_table_format_is_canonical():
     assert format_table([[0, 1], [1, 0]]) == "2\n0 1\n1 0\n"
-
-
-def test_permutation_text_roundtrip():
-    assert parse_permutation_text(format_permutation([2, 0, 1])) == [2, 0, 1]
-    assert format_permutation((0, 1)) == "0 1\n"
