@@ -11,7 +11,9 @@ Every run gets the file's `run_seconds`.  The output holds, per workload,
 each end-to-end metric's runs, medians, relative change and whether the
 change is worse than the metric's bound, the number of timed passes of
 each `--trace 0` run (in the order of the metric's runs), and each
-per-layer metric of the traced runs.  Before the workloads it runs the
+per-layer metric of the traced runs.  Next to each side's `revision` it
+records `src_lines`, the total line count of that checkout's
+`src/symq/*.py` as `wc -l` counts it.  Before the workloads it runs the
 Tier-1 test command (`python -m pytest -q --continue-on-collection-errors`
 with `src` on PYTHONPATH) once from each checkout root and records, under
 `tier1`, its raw wall time in seconds (not scaled to a reference speed),
@@ -41,6 +43,10 @@ def _revision(root: Path) -> str | None:
         ["git", "rev-parse", "HEAD"], cwd=root, capture_output=True, text=True
     )
     return done.stdout.strip() if done.returncode == 0 else None
+
+
+def _src_lines(root: Path) -> int:
+    return sum(p.read_bytes().count(b"\n") for p in (root / "src/symq").glob("*.py"))
 
 
 def _run(root: Path, command: list[str], workload: str, seed: int, seconds: int,
@@ -111,8 +117,8 @@ def main() -> int:
     seconds = bench["run_seconds"]
 
     result = {
-        "base": {"revision": _revision(base)},
-        "head": {"revision": _revision(head)},
+        "base": {"revision": _revision(base), "src_lines": _src_lines(base)},
+        "head": {"revision": _revision(head), "src_lines": _src_lines(head)},
         "seed": args.seed,
         "run_seconds": seconds,
         "host": {

@@ -45,7 +45,6 @@ from .errors import (
     UnsupportedOrder,
 )
 from .groups import (
-    ElementSet,
     FiniteGroup,
     GroupAutomorphism,
     OrbitPartition,
@@ -69,7 +68,6 @@ from .involutions import (
     InvolutionViolation,
     SqClassification,
     SymmetricQuandle,
-    TheoremClass,
     check_good_involution,
     classify_sq_bruteforce,
     classify_sq_theorem,
@@ -98,8 +96,8 @@ from .quandles import (
     quandle_map,
     validate_quandle,
 )
-from .report import emit_report, emit_reports, quandle_report
-from .specs import AutSpec, GroupSpec, build_group, parse_aut_spec, parse_group_spec
+from .report import emit_report, emit_reports
+from .specs import GroupSpec, build_group, parse_aut_spec, parse_group_spec
 from .torus import (
     MAX_DIMENSION,
     BitVector,

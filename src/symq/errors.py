@@ -134,7 +134,7 @@ class SpecParseError(SymqError):
 
 
 class UnsupportedOrder(SymqError):
-    """Spec names a group the tool cannot or will not build."""
+    """Spec or table file names a structure the tool cannot or will not build."""
 
 
 # -- torus model --------------------------------------------------------------

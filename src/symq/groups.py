@@ -31,7 +31,6 @@ from .errors import (
 __all__ = [
     "FiniteGroup",
     "GroupAutomorphism",
-    "ElementSet",
     "OrbitPartition",
     "validate_group",
     "is_abelian",
@@ -72,24 +71,9 @@ class GroupAutomorphism:
 
 
 @dataclass(frozen=True)
-class ElementSet:
-    """Sorted, duplicate-free set of element indices of one group."""
-
-    group: FiniteGroup
-    members: tuple[int, ...]
-
-    def __contains__(self, x: int) -> bool:
-        return x in self.members
-
-    def __len__(self) -> int:
-        return len(self.members)
-
-
-@dataclass(frozen=True)
 class OrbitPartition:
     """Partition of 0..n-1 into orbits, labelled by smallest member order."""
 
-    size: int
     orbit_id: tuple[int, ...]
     orbits: tuple[tuple[int, ...], ...]
 
@@ -302,6 +286,11 @@ def identity_automorphism(group: FiniteGroup) -> GroupAutomorphism:
     return GroupAutomorphism(group=group, perm=perms.identity_perm(group.order))
 
 
+def _check_same_group(group: FiniteGroup, aut: GroupAutomorphism) -> None:
+    if aut.group != group:
+        raise ValueError("automorphism belongs to a different group")
+
+
 def validate_automorphism(
     group: FiniteGroup, perm: Sequence[int]
 ) -> GroupAutomorphism:
@@ -462,6 +451,7 @@ def centralizer_in_aut(
     group: FiniteGroup, phi: GroupAutomorphism, budget: int | None = None
 ) -> list[GroupAutomorphism]:
     """Automorphisms commuting with phi, a subgroup containing id and phi."""
+    _check_same_group(group, phi)
     table = group.product
     found = _iso_search(
         table, table, find_all=True, budget=SearchBudget(budget),
@@ -470,14 +460,17 @@ def centralizer_in_aut(
     return [GroupAutomorphism(group=group, perm=p) for p in found]
 
 
-def fixed_two_torsion(group: FiniteGroup, phi: GroupAutomorphism) -> ElementSet:
-    """Elements fixed by phi whose square is the identity; always contains e."""
-    members = tuple(
+def fixed_two_torsion(
+    group: FiniteGroup, phi: GroupAutomorphism
+) -> tuple[int, ...]:
+    """Elements fixed by phi whose square is the identity, ascending; always
+    contains e."""
+    _check_same_group(group, phi)
+    return tuple(
         r
         for r in range(group.order)
         if phi.perm[r] == r and group.product[r][r] == group.identity
     )
-    return ElementSet(group=group, members=members)
 
 
 def orbits_under(maps: Sequence[Sequence[int]], n: int) -> OrbitPartition:
@@ -510,4 +503,4 @@ def orbits_under(maps: Sequence[Sequence[int]], n: int) -> OrbitPartition:
     for label, orbit in enumerate(orbits):
         for x in orbit:
             orbit_id[x] = label
-    return OrbitPartition(size=n, orbit_id=tuple(orbit_id), orbits=orbits)
+    return OrbitPartition(orbit_id=tuple(orbit_id), orbits=orbits)

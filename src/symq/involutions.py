@@ -43,7 +43,6 @@ from .quandles import (
 __all__ = [
     "SymmetricQuandle",
     "InvolutionViolation",
-    "TheoremClass",
     "SqClassification",
     "check_good_involution",
     "is_good_involution",
@@ -79,32 +78,25 @@ class InvolutionViolation:
 
 
 @dataclass(frozen=True)
-class TheoremClass:
-    """One orbit of the centralizer action on the fixed self-inverse elements."""
-
-    representative: int
-    members: tuple[int, ...]
-
-
-@dataclass(frozen=True)
 class SqClassification:
     """Everything one analysis of a quandle found, by one or both routes.
 
     `classes_bruteforce` partitions `good_involutions` (index lists) via
-    exhaustive pairwise isomorphism searches; `classes_theorem` lists
-    centralizer orbits on the fixed self-inverse elements when the quandle
-    is a connected kei built from a (group, automorphism) pair.  A field the
-    requested routes do not produce is None.  `outcome` is "budget" when
-    the node budget ran out; the route fields are then all None.
-    `orbit_count` is None only for a group whose automorphisms could not be
-    listed, where no quandle was built.
+    exhaustive pairwise isomorphism searches; `classes_theorem` lists the
+    centralizer orbits on the fixed self-inverse elements (element lists)
+    when the quandle is a connected kei built from a (group, automorphism)
+    pair.  Both are tuples of ascending member tuples ordered by smallest
+    member.  A field the requested routes do not produce is None.
+    `outcome` is "budget" when the node budget ran out; the route fields
+    are then all None.  `orbit_count` is None only for a group whose
+    automorphisms could not be listed, where no quandle was built.
     """
 
     order: int
     origin: GroupAutomorphism | None
     good_involutions: tuple[tuple[int, ...], ...] | None = None
     classes_bruteforce: tuple[tuple[int, ...], ...] | None = None
-    classes_theorem: tuple[TheoremClass, ...] | None = None
+    classes_theorem: tuple[tuple[int, ...], ...] | None = None
     agreement: bool | None = None
     notes: tuple[str, ...] = ()
     kei_witness: tuple[int, int] | None = None
@@ -174,15 +166,10 @@ def _candidate_sets(q: FiniteQuandle) -> list[tuple[int, ...]]:
     The column condition forces rho(y) into this set, because acting through
     rho(y) must equal acting through y inverse on every element.
     """
-    n = q.order
     by_column: dict[tuple[int, ...], list[int]] = {}
-    for z in range(n):
-        by_column.setdefault(q.column(z), []).append(z)
-    out = []
-    for y in range(n):
-        inverse_column = tuple(q.inv_op[x][y] for x in range(n))
-        out.append(tuple(by_column.get(inverse_column, ())))
-    return out
+    for z, column in enumerate(zip(*q.op)):
+        by_column.setdefault(column, []).append(z)
+    return [tuple(by_column.get(column, ())) for column in zip(*q.inv_op)]
 
 
 def _enumerate_rhos(
@@ -438,7 +425,7 @@ def _partition_by_isomorphism(
 
 def _theorem_classes(
     phi: GroupAutomorphism, fixed: tuple[int, ...], budget: SearchBudget
-) -> tuple[TheoremClass, ...]:
+) -> tuple[tuple[int, ...], ...]:
     """Orbits of the centralizer of the twist phi on the fixed self-inverse elements."""
     position = {r: i for i, r in enumerate(fixed)}
     restricted = []
@@ -454,19 +441,13 @@ def _theorem_classes(
             )
         restricted.append([position[img] for img in images])
     part = orbits_under(restricted, len(fixed))
-    return tuple(
-        TheoremClass(
-            representative=fixed[orbit[0]],
-            members=tuple(fixed[i] for i in orbit),
-        )
-        for orbit in part.orbits
-    )
+    return tuple(tuple(fixed[i] for i in orbit) for orbit in part.orbits)
 
 
 def _classes_agree(
     rhos: list[tuple[int, ...]],
     brute: tuple[tuple[int, ...], ...],
-    theorem: tuple[TheoremClass, ...],
+    theorem: tuple[tuple[int, ...], ...],
     translation: dict[int, tuple[int, ...]],
 ) -> bool:
     """Equal class counts, each orbit's translations in one brute-force
@@ -477,7 +458,7 @@ def _classes_agree(
     member_class = {i: label for label, members in enumerate(brute) for i in members}
     labels = []
     for cls in theorem:
-        found = {member_class.get(index.get(translation[r])) for r in cls.members}
+        found = {member_class.get(index.get(translation[r])) for r in cls}
         if len(found) != 1 or None in found:
             return False
         labels.append(found.pop())
@@ -517,9 +498,7 @@ def _analyze(
     origin = q.origin
     witness = kei_witness(q)
     orbits = inner_orbits(q)
-    fixed = (
-        None if origin is None else fixed_two_torsion(origin.group, origin).members
-    )
+    fixed = None if origin is None else fixed_two_torsion(origin.group, origin)
     facts = dict(
         order=q.order,
         origin=origin,

@@ -28,6 +28,7 @@ from .groups import (
     FiniteGroup,
     GroupAutomorphism,
     OrbitPartition,
+    _check_same_group,
     _check_table_shape,
     _iso_search,
     orbits_under,
@@ -58,10 +59,6 @@ class FiniteQuandle:
     inv_op: tuple[tuple[int, ...], ...]
     # the twist phi that galex built this quandle from; phi.group is the group
     origin: GroupAutomorphism | None = None
-
-    def column(self, y: int) -> tuple[int, ...]:
-        """The inner permutation x -> x ^ y."""
-        return tuple(self.op[x][y] for x in range(self.order))
 
 
 @dataclass(frozen=True)
@@ -115,8 +112,7 @@ def galex(group: FiniteGroup, phi: GroupAutomorphism) -> FiniteQuandle:
     column inverse the axioms admit; construction cross-checks that the two
     tables really invert each other column by column.
     """
-    if phi.group != group:
-        raise ValueError("automorphism belongs to a different group")
+    _check_same_group(group, phi)
     n = group.order
     p = group.product
     ginv = group.inverse
@@ -162,8 +158,8 @@ def is_kei(q: FiniteQuandle) -> bool:
 
 
 def inner_orbits(q: FiniteQuandle) -> OrbitPartition:
-    """Orbits of the group generated by all inner permutations."""
-    return orbits_under([q.column(y) for y in range(q.order)], q.order)
+    """Orbits of the group generated by all inner permutations x -> x ^ y."""
+    return orbits_under(tuple(zip(*q.op)), q.order)
 
 
 def is_connected(q: FiniteQuandle) -> bool:
@@ -250,8 +246,7 @@ def affine_automorphism(
     """The quandle automorphism x -> psi(x) c for psi centralizing the twist."""
     origin = _require_origin(q)
     group = origin.group
-    if psi.group != group:
-        raise ValueError("automorphism belongs to a different group")
+    _check_same_group(group, psi)
     if not 0 <= c < group.order:
         raise BadElement(c, group.order)
     phi = origin.perm

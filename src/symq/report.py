@@ -12,62 +12,6 @@ import json
 from . import __about__
 from .involutions import SqClassification
 
-QUANDLE_REPORT_KEYS = (
-    "tool_version",
-    "group_spec",
-    "order",
-    "automorphism",
-    "is_kei",
-    "kei_witness",
-    "is_connected",
-    "orbit_count",
-    "good_involutions",
-    "fixed_two_torsion",
-    "sq_classes_bruteforce",
-    "sq_classes_theorem",
-    "agreement",
-    "notes",
-    "elapsed_ms",
-)
-
-
-def quandle_report(
-    *,
-    group_spec: str | None,
-    order: int,
-    automorphism: list[int] | None,
-    is_kei: bool,
-    kei_witness: list[int] | None,
-    is_connected: bool,
-    orbit_count: int,
-    good_involutions: list[list[int]] | None,
-    fixed_two_torsion: list[int] | None,
-    sq_classes_bruteforce: int | None,
-    sq_classes_theorem: int | None,
-    agreement: bool | None,
-    notes: list[str],
-    elapsed_ms: int | None,
-) -> dict:
-    report = {
-        "tool_version": __about__.__version__,
-        "group_spec": group_spec,
-        "order": order,
-        "automorphism": automorphism,
-        "is_kei": is_kei,
-        "kei_witness": kei_witness,
-        "is_connected": is_connected,
-        "orbit_count": orbit_count,
-        "good_involutions": good_involutions,
-        "fixed_two_torsion": fixed_two_torsion,
-        "sq_classes_bruteforce": sq_classes_bruteforce,
-        "sq_classes_theorem": sq_classes_theorem,
-        "agreement": agreement,
-        "notes": notes,
-        "elapsed_ms": elapsed_ms,
-    }
-    assert tuple(report) == QUANDLE_REPORT_KEYS
-    return report
-
 
 def _analysis_report(
     result: SqClassification, group_spec: str | None, elapsed_ms: int | None
@@ -77,22 +21,23 @@ def _analysis_report(
     witness = result.kei_witness
     rhos = result.good_involutions
     fixed = result.fixed_two_torsion
-    return quandle_report(
-        group_spec=group_spec,
-        order=result.order,
-        automorphism=None if result.origin is None else list(result.origin.perm),
-        is_kei=witness is None if known else None,
-        kei_witness=None if witness is None else list(witness),
-        is_connected=result.orbit_count == 1 if known else None,
-        orbit_count=result.orbit_count,
-        good_involutions=None if rhos is None else [list(p) for p in rhos],
-        fixed_two_torsion=None if fixed is None else list(fixed),
-        sq_classes_bruteforce=result.bruteforce_count,
-        sq_classes_theorem=result.theorem_count,
-        agreement=result.agreement,
-        notes=list(result.notes),
-        elapsed_ms=elapsed_ms,
-    )
+    return {
+        "tool_version": __about__.__version__,
+        "group_spec": group_spec,
+        "order": result.order,
+        "automorphism": None if result.origin is None else list(result.origin.perm),
+        "is_kei": witness is None if known else None,
+        "kei_witness": None if witness is None else list(witness),
+        "is_connected": result.orbit_count == 1 if known else None,
+        "orbit_count": result.orbit_count,
+        "good_involutions": None if rhos is None else [list(p) for p in rhos],
+        "fixed_two_torsion": None if fixed is None else list(fixed),
+        "sq_classes_bruteforce": result.bruteforce_count,
+        "sq_classes_theorem": result.theorem_count,
+        "agreement": result.agreement,
+        "notes": list(result.notes),
+        "elapsed_ms": elapsed_ms,
+    }
 
 
 def to_json(report: dict) -> str:

@@ -29,20 +29,15 @@ from .groups import (
     validate_group,
 )
 from .errors import BadElement
-from .tableio import read_table
+from .tableio import MAX_BUILT_ORDER, read_table
 
 __all__ = [
     "GroupSpec",
-    "AutSpec",
     "parse_group_spec",
     "parse_aut_spec",
     "build_group",
     "MAX_BUILT_ORDER",
 ]
-
-# Guard against accidentally materializing a table too large to be useful;
-# everything downstream is desk-scale anyway.
-MAX_BUILT_ORDER = 1024
 
 _KINDS = (
     "cyclic", "product", "dihedral", "symmetric", "alternating", "quaternion", "file"
@@ -56,14 +51,6 @@ class GroupSpec:
     number: int | None = None
     parts: tuple["GroupSpec", ...] = field(default=())
     path: str | None = None
-
-
-@dataclass(frozen=True)
-class AutSpec:
-    raw: str
-    kind: str
-    perm: tuple[int, ...] | None = None
-    element: int | None = None
 
 
 class _Cursor:
@@ -178,7 +165,7 @@ def _spec_order(spec: GroupSpec) -> int:
         return 8
     if spec.kind == "product":
         return _capped_product(_spec_order(part) for part in spec.parts)
-    return 1  # file: at least 1; _realize checks the order it reads
+    return 1  # file: at least 1; read_table refuses an order above the cap
 
 
 def _realize(spec: GroupSpec) -> FiniteGroup:
@@ -196,10 +183,7 @@ def _realize(spec: GroupSpec) -> FiniteGroup:
         parts = [_realize(part) for part in spec.parts]
         _check_cap(spec, _capped_product(part.order for part in parts))
         return direct_product(parts)
-    table = read_table(spec.path)
-    # before validation, whose associativity check is cubic in the order
-    _check_cap(spec, len(table))
-    return validate_group(table)
+    return validate_group(read_table(spec.path))
 
 
 def _check_cap(spec: GroupSpec, order: int) -> None:
@@ -219,45 +203,37 @@ def build_group(spec: str | GroupSpec) -> FiniteGroup:
 
 
 def parse_aut_spec(spec: str, group: FiniteGroup) -> GroupAutomorphism:
-    """Resolve an automorphism spec against an already-built group."""
-    parsed = _parse_aut(spec)
-    if parsed.kind == "id":
+    """Resolve an automorphism spec against an already-built group.
+
+    The whole spec is parsed first, so a syntax error is reported before
+    any error about the group.
+    """
+    cur = _Cursor(spec)
+    kind = cur.take_keyword()
+    values = []
+    if kind in ("perm", "conj"):
+        cur.expect(":")
+        values.append(cur.take_int())
+        while kind == "perm" and cur.peek() == ",":
+            cur.expect(",")
+            values.append(cur.take_int())
+    elif kind not in ("id", "inv"):
+        cur.pos = 0
+        raise cur.fail(f"unknown automorphism kind {kind!r}")
+    if not cur.done():
+        raise cur.fail("unexpected trailing characters")
+
+    if kind == "id":
         return identity_automorphism(group)
-    if parsed.kind == "inv":
+    if kind == "inv":
         if not is_abelian(group):
             raise NotAbelian("spec 'inv' requires an abelian group")
         return inversion_automorphism(group)
-    if parsed.kind == "perm":
-        return validate_automorphism(group, parsed.perm)
-    g = parsed.element
+    if kind == "perm":
+        return validate_automorphism(group, values)
+    g = values[0]
     if not 0 <= g < group.order:
         raise BadElement(g, group.order)
     ginv = group.inverse[g]
     perm = [group.product[group.product[g][x]][ginv] for x in range(group.order)]
     return validate_automorphism(group, perm)
-
-
-def _parse_aut(spec: str) -> AutSpec:
-    cur = _Cursor(spec)
-    kind = cur.take_keyword()
-    if kind in ("id", "inv"):
-        if not cur.done():
-            raise cur.fail("unexpected trailing characters")
-        return AutSpec(raw=spec, kind=kind)
-    if kind == "perm":
-        cur.expect(":")
-        values = [cur.take_int()]
-        while cur.peek() == ",":
-            cur.expect(",")
-            values.append(cur.take_int())
-        if not cur.done():
-            raise cur.fail("unexpected trailing characters")
-        return AutSpec(raw=spec, kind=kind, perm=tuple(values))
-    if kind == "conj":
-        cur.expect(":")
-        g = cur.take_int()
-        if not cur.done():
-            raise cur.fail("unexpected trailing characters")
-        return AutSpec(raw=spec, kind=kind, element=g)
-    cur.pos = 0
-    raise cur.fail(f"unknown automorphism kind {kind!r}")

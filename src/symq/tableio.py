@@ -9,7 +9,11 @@ from __future__ import annotations
 
 from pathlib import Path
 
-from .errors import MalformedTable
+from .errors import MalformedTable, UnsupportedOrder
+
+# Guard against materializing a table too large to be useful; everything
+# downstream is desk-scale anyway.
+MAX_BUILT_ORDER = 1024
 
 
 def _tokens(text: str) -> list[str]:
@@ -20,18 +24,27 @@ def _tokens(text: str) -> list[str]:
     return out
 
 
+def _ints(tokens: list[str]) -> list[int]:
+    try:
+        return [int(t) for t in tokens]
+    except ValueError as exc:
+        raise MalformedTable(f"non-integer token: {exc}") from None
+
+
 def parse_table_text(text: str) -> list[list[int]]:
+    """The rows of a table; an order above MAX_BUILT_ORDER is refused before
+    the entries are converted, so no caller validates a giant table."""
     tokens = _tokens(text)
     if not tokens:
         raise MalformedTable("file contains no data")
-    try:
-        values = [int(t) for t in tokens]
-    except ValueError as exc:
-        raise MalformedTable(f"non-integer token: {exc}") from None
-    n = values[0]
+    (n,) = _ints(tokens[:1])
+    if n > MAX_BUILT_ORDER:
+        raise UnsupportedOrder(
+            f"table declares order {n}, above the build cap of {MAX_BUILT_ORDER}"
+        )
+    body = _ints(tokens[1:])
     if n < 1:
         raise MalformedTable(f"declared order {n} is not positive")
-    body = values[1:]
     if len(body) != n * n:
         raise MalformedTable(
             f"expected {n * n} entries for order {n}, found {len(body)}"

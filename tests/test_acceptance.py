@@ -79,7 +79,7 @@ def test_criterion_3_closed_form_matches_oracle(sweep12):
     checked = 0
     for r in connected_kei_entries(sweep12):
         entry = r["entry"]
-        fixed = symq.fixed_two_torsion(entry.group, entry.aut).members
+        fixed = symq.fixed_two_torsion(entry.group, entry.aut)
         translations = sorted(
             symq.rho_r(entry.group, entry.aut, t) for t in fixed
         )
@@ -107,7 +107,7 @@ def test_criterion_4_orbit_classes_match_bruteforce(sweep12):
         for cls in result.classes_theorem:
             labels = {
                 member_class[rho_index[symq.rho_r(entry.group, entry.aut, t)]]
-                for t in cls.members
+                for t in cls
             }
             assert len(labels) == 1, entry.label
             label = labels.pop()

@@ -4,7 +4,7 @@ import pytest
 
 import symq
 from symq.cli import main
-from symq.report import emit_report, to_json
+from symq.report import _analysis_report, emit_report, to_json
 from symq.tableio import write_table
 
 
@@ -91,6 +91,17 @@ def test_quandle_check_rejects_broken_table(tmp_path, capsys):
     code, _, err = run(capsys, "quandle", "check", "--table", str(path))
     assert code == 1
     assert "column" in err
+
+
+def test_table_above_cap_is_refused_before_validation(tmp_path, capsys):
+    # a valid trivial quandle (x ^ y = x) whose cubic axiom check would run
+    # for minutes: it is refused as soon as its declared order is read
+    path = tmp_path / "trivial1025.txt"
+    write_table(path, [[x] * 1025 for x in range(1025)])
+    for argv in (("quandle", "check"), ("sq", "enumerate")):
+        code, out, err = run(capsys, *argv, "--table", str(path))
+        assert code == 1 and out == "", argv
+        assert "above the build cap of 1024" in err, argv
 
 
 # -- sq commands ----------------------------------------------------------------------
@@ -309,24 +320,64 @@ def test_text_format(capsys):
 
 
 def test_json_reports_round_trip():
-    report = symq.quandle_report(
-        group_spec="cyclic:3",
-        order=3,
-        automorphism=[0, 2, 1],
-        is_kei=True,
-        kei_witness=None,
-        is_connected=True,
-        orbit_count=1,
-        good_involutions=[[0, 1, 2]],
-        fixed_two_torsion=[0],
-        sq_classes_bruteforce=1,
-        sq_classes_theorem=1,
-        agreement=True,
-        notes=[],
-        elapsed_ms=7,
-    )
+    z3 = symq.cyclic_group(3)
+    result = symq.cross_check_sq(z3, symq.inversion_automorphism(z3))
+    report = _analysis_report(result, "cyclic:3", 7)
+    assert report == {
+        "tool_version": symq.__version__,
+        "group_spec": "cyclic:3",
+        "order": 3,
+        "automorphism": [0, 2, 1],
+        "is_kei": True,
+        "kei_witness": None,
+        "is_connected": True,
+        "orbit_count": 1,
+        "good_involutions": [[0, 1, 2]],
+        "fixed_two_torsion": [0],
+        "sq_classes_bruteforce": 1,
+        "sq_classes_theorem": 1,
+        "agreement": True,
+        "notes": [],
+        "elapsed_ms": 7,
+    }
     emitted = to_json(report)
     assert to_json(json.loads(emitted)) == emitted
+
+
+# the key list of the README's "Report fields"
+REPORT_KEYS = {
+    "tool_version", "group_spec", "order", "automorphism", "is_kei",
+    "kei_witness", "is_connected", "orbit_count", "good_involutions",
+    "fixed_two_torsion", "sq_classes_bruteforce", "sq_classes_theorem",
+    "agreement", "notes", "elapsed_ms",
+}
+
+
+def test_every_quandle_report_has_the_fixed_keys(tmp_path, capsys):
+    z3 = symq.cyclic_group(3)
+    table = tmp_path / "r3.txt"
+    write_table(table, symq.galex(z3, symq.inversion_automorphism(z3)).op)
+    pair = ("--group", "cyclic:3", "--aut", "inv")
+    commands = [
+        ("sq", "enumerate", *pair),
+        ("sq", "enumerate", *pair, "--closed-form"),
+        ("sq", "enumerate", "--table", str(table)),
+        ("sq", "classify", *pair),
+        ("sq", "classify", *pair, "--theorem"),
+        ("sq", "classify", "--table", str(table)),
+        ("sq", "crosscheck", *pair),
+        # the theorem route skipped with a note: C4 is not connected
+        ("sq", "crosscheck", "--group", "cyclic:4", "--aut", "inv"),
+        ("quandle", "check", "--table", str(table)),
+    ]
+    for argv in commands:
+        assert set(run_json(capsys, *argv)) == REPORT_KEYS, argv
+    code, out, _ = run(capsys, "catalog", "--max-order", "4")
+    assert code == 0
+    reports = [json.loads(line) for line in out.splitlines()]
+    assert reports
+    for report in reports:
+        assert set(report) == REPORT_KEYS, report["group_spec"]
 
 
 def test_catalog_stream_round_trips_byte_identical(capsys):

@@ -319,28 +319,48 @@ def test_automorphism_node_count_a5():
         symq.enumerate_automorphisms(g, budget=1_760)
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        symq.centralizer_in_aut,
+        symq.fixed_two_torsion,
+        lambda group, phi: symq.rho_r(group, phi, 0),
+    ],
+    ids=["centralizer_in_aut", "fixed_two_torsion", "rho_r"],
+)
+def test_automorphism_of_another_group_is_refused(z4, klein, call):
+    # one of C3 would index past C4's table; one of C2 x C2 (the same
+    # order) would silently compute with the wrong map
+    for foreign in (
+        symq.identity_automorphism(symq.cyclic_group(3)),
+        symq.inversion_automorphism(klein),
+    ):
+        with pytest.raises(ValueError, match="different group"):
+            call(z4, foreign)
+
+
 # -- fixed_two_torsion --------------------------------------------------------------
 
 
 def test_fixed_two_torsion_z4(z4):
     inv = symq.inversion_automorphism(z4)
-    assert symq.fixed_two_torsion(z4, inv).members == (0, 2)
+    assert symq.fixed_two_torsion(z4, inv) == (0, 2)
 
 
 def test_fixed_two_torsion_z3(z3):
     inv = symq.inversion_automorphism(z3)
-    assert symq.fixed_two_torsion(z3, inv).members == (0,)
+    assert symq.fixed_two_torsion(z3, inv) == (0,)
 
 
 def test_fixed_two_torsion_klein_identity(klein):
     ident = symq.identity_automorphism(klein)
-    assert symq.fixed_two_torsion(klein, ident).members == (0, 1, 2, 3)
+    assert symq.fixed_two_torsion(klein, ident) == (0, 1, 2, 3)
 
 
 def test_fixed_set_stable_under_centralizer(small_family):
     for label, g in small_family:
         for phi in symq.enumerate_automorphisms(g):
-            fixed = set(symq.fixed_two_torsion(g, phi).members)
+            fixed = set(symq.fixed_two_torsion(g, phi))
             for psi in symq.centralizer_in_aut(g, phi):
                 assert {psi.perm[r] for r in fixed} == fixed, label
 

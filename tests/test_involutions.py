@@ -234,7 +234,7 @@ def test_classify_theorem_r3(z3):
     inv = symq.inversion_automorphism(z3)
     result = symq.classify_sq_theorem(z3, inv)
     assert result.theorem_count == 1
-    assert result.classes_theorem[0].representative == 0
+    assert result.classes_theorem[0][0] == 0
 
 
 def test_classify_theorem_z9():
@@ -329,7 +329,7 @@ def test_centralizer_element_is_witness(small_family):
             q = symq.galex(g, phi)
             if not (symq.is_kei(q) and symq.is_connected(q)):
                 continue
-            fixed = symq.fixed_two_torsion(g, phi).members
+            fixed = symq.fixed_two_torsion(g, phi)
             for psi in symq.centralizer_in_aut(g, phi):
                 for r1 in fixed:
                     r2 = psi.perm[r1]
