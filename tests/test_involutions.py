@@ -1,3 +1,4 @@
+import hashlib
 from collections import Counter
 
 import pytest
@@ -373,3 +374,20 @@ def test_checker_matches_textbook_conditions(perm):
         )
     )
     assert symq.is_good_involution(r4, perm) == expected
+
+
+def test_good_involutions_of_a4_and_a5_pinned():
+    # sha256 over every good involution of every non-identity automorphism
+    # of A4 then A5, in enumeration order, with b"|" closing each automorphism
+    digest = hashlib.sha256()
+    for k in (4, 5):
+        g = symq.alternating_group(k)
+        for phi in symq.enumerate_automorphisms(g):
+            if phi.is_identity():
+                continue
+            for good in symq.enumerate_good_involutions(symq.galex(g, phi)):
+                digest.update(bytes(good.rho))
+            digest.update(b"|")
+    assert digest.hexdigest() == (
+        "2e9036b4918359152444780f51d224d43882bc5dfbadd700272cac03cd314f83"
+    )
