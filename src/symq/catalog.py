@@ -166,14 +166,9 @@ def run_catalog(
                 for aut in auts
             )
         for result in analyses:
-            report = _analysis_report(result, label, None)
-            if result.good_involutions is not None:
-                # one list for equal involution lists: the three order-12
-                # trivial tables hold 140,152 involutions each
-                report["good_involutions"] = lists.setdefault(
-                    result.good_involutions, report["good_involutions"]
-                )
-            reports.append(report)
+            # one list for equal involution lists: the three order-12
+            # trivial tables hold 140,152 involutions each
+            reports.append(_analysis_report(result, label, None, lists))
             if result.agreement is not None:
                 hypothesis_met += 1
                 failures += result.agreement is False

@@ -16,7 +16,6 @@ from .catalog import run_catalog
 from .errors import (
     HypothesisNotMet,
     InternalConsistencyError,
-    SearchBudgetExceeded,
     SymqError,
 )
 from .groups import is_abelian, validate_group
@@ -257,19 +256,13 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except _UsageError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 1
     except HypothesisNotMet as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
     except InternalConsistencyError as exc:
         sys.stderr.write(f"internal consistency failure: {exc}\n")
         return 3
-    except SearchBudgetExceeded as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 1
-    except (SymqError, ValueError, OSError) as exc:
+    except (_UsageError, SymqError, ValueError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1
 

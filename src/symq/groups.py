@@ -72,9 +72,8 @@ class GroupAutomorphism:
 
 @dataclass(frozen=True)
 class OrbitPartition:
-    """Partition of 0..n-1 into orbits, labelled by smallest member order."""
+    """Partition of 0..n-1 into orbits, sorted by smallest member."""
 
-    orbit_id: tuple[int, ...]
     orbits: tuple[tuple[int, ...], ...]
 
     @property
@@ -316,30 +315,36 @@ def _iso_search(
     *,
     find_all: bool,
     budget: SearchBudget,
-    rho1: Sequence[int] | None = None,
-    rho2: Sequence[int] | None = None,
+    pairs: Sequence[tuple[Sequence[int], Sequence[int]]] = (),
+    candidates: Sequence[Sequence[int]] | None = None,
+    involutive: bool = False,
 ) -> list[tuple[int, ...]]:
     """Backtracking search for bijections f with f(x * y) = f(x) * f(y).
 
-    The one isomorphism search of the package.  On the quandle side op1 and
-    op2 are quandle operations, and with rho1, rho2 the search lists the
-    symmetric-quandle isomorphisms.  On the group side both are one
-    multiplication table, so the maps are the automorphisms, and with
-    rho1 = rho2 = phi the automorphisms that commute with phi.
+    The one backtracking search of the package.  With op1 = op2 a group
+    table it lists the automorphisms, and with the pair (phi, phi) those
+    that commute with phi.  Between quandle operations it lists the
+    isomorphisms, and with the pair (rho1, rho2) the symmetric-quandle ones.
+    From an operation to its inverse, involutive and with the column
+    condition as `candidates`, it lists the good involutions: putting rho(y)
+    for y in x * rho(y) = x *^-1 y gives x *^-1 rho(y) = x * y (rho^2 = id),
+    so rho(x * y) = rho(x) * y reads rho(x * y) = rho(x) *^-1 rho(y).
 
-    Candidate images are pruned by the cycle type of the column x -> x * a
-    (preserved by any isomorphism; on a group table it is pruning by element
-    order) and, when the rho pair is given, by the equivariance constraint
-    f(rho1(x)) = rho2(f(x)).  Variables are assigned in ascending element
-    order with ascending candidate values, so results come out in
-    lexicographic order and a self-search always reports the identity first.
-    One budget node is charged per candidate tried.  Each assignment a -> b
-    implies f(a * c) = b * f(c) and f(c * a) = f(c) * b for every element c
-    that already has an image; an implied pair whose left side already has
-    an image is checked in place, and only pairs for unassigned elements are
-    queued.  The closure is the same in any processing order, so the search
-    tree does not depend on it.  Passing the same table object twice marks a
-    self-search, whose column data is computed once.
+    Each pair (p1, p2) asks for f(p1(x)) = p2(f(x)); with `involutive`
+    each assignment a -> b also asks for b -> a.  The candidate images of x
+    are `candidates[x]` as given, or else the v whose column c -> c * v has
+    the cycle type of x's (preserved by any isomorphism; on a group table it
+    is the element order) and that each pair's p2 fixes exactly when its p1
+    fixes x.  Variables are assigned in ascending element order with
+    ascending candidate values, so results come out in lexicographic order
+    and a self-search always reports the identity first.  One budget node
+    is charged per candidate tried.  Each assignment a -> b implies
+    f(a * c) = b * f(c) and f(c * a) = f(c) * b for every element c that
+    already has an image; an implied pair whose left side already has an
+    image is checked in place, and only pairs for unassigned elements are
+    queued.  The closure is the same in any processing order, so the
+    search tree does not depend on it.  Passing the same table object twice
+    marks a self-search, whose column data is computed once.
     """
     n = len(op1)
     if len(op2) != n:
@@ -347,21 +352,21 @@ def _iso_search(
     # columns: cols[a][c] = c * a
     cols1 = tuple(zip(*op1))
     cols2 = cols1 if op2 is op1 else tuple(zip(*op2))
-    prof1 = [perms.cycle_type(col) for col in cols1]
-    prof2 = prof1 if op2 is op1 else [perms.cycle_type(col) for col in cols2]
-    if sorted(prof1) != sorted(prof2):
-        return []
-
-    equivariant = rho1 is not None and rho2 is not None
-    cand: list[tuple[int, ...]] = []
-    for x in range(n):
-        options = [v for v in range(n) if prof2[v] == prof1[x]]
-        if equivariant:
-            fixed = rho1[x] == x
-            options = [v for v in options if (rho2[v] == v) == fixed]
-        if not options:
+    if candidates is None:
+        prof1 = [perms.cycle_type(col) for col in cols1]
+        prof2 = prof1 if op2 is op1 else [perms.cycle_type(col) for col in cols2]
+        if sorted(prof1) != sorted(prof2):
             return []
-        cand.append(tuple(options))
+        candidates = []
+        for x in range(n):
+            options = [v for v in range(n) if prof2[v] == prof1[x]]
+            for p1, p2 in pairs:
+                fixed = p1[x] == x
+                options = [v for v in options if (p2[v] == v) == fixed]
+            candidates.append(options)
+    if not all(candidates):
+        return []
+    cand = [tuple(options) for options in candidates]
     cand_sets = [frozenset(c) for c in cand]
 
     img = [-1] * n
@@ -382,8 +387,10 @@ def _iso_search(
             img[a] = b
             used[b] = True
             done.append(a)
-            if equivariant:
-                stack.append((rho1[a], rho2[b]))
+            if involutive:
+                stack.append((b, a))
+            for p1, p2 in pairs:
+                stack.append((p1[a], p2[b]))
             row1, col1, row2, col2 = op1[a], cols1[a], op2[b], cols2[b]
             # the implied pairs (a * c, b * f(c)) and (c * a, f(c) * b)
             for c in done:
@@ -455,7 +462,7 @@ def centralizer_in_aut(
     table = group.product
     found = _iso_search(
         table, table, find_all=True, budget=SearchBudget(budget),
-        rho1=phi.perm, rho2=phi.perm,
+        pairs=[(phi.perm, phi.perm)],
     )
     return [GroupAutomorphism(group=group, perm=p) for p in found]
 
@@ -478,7 +485,7 @@ def orbits_under(maps: Sequence[Sequence[int]], n: int) -> OrbitPartition:
 
     Closure under a permutation and its inverse coincide, so plain
     union-find over x ~ map(x) suffices.  Orbits are sorted by smallest
-    member and labelled by their position in that order.
+    member.
     """
     checked = [perms.as_permutation(m, n) for m in maps]
     parent = list(range(n))
@@ -499,8 +506,4 @@ def orbits_under(maps: Sequence[Sequence[int]], n: int) -> OrbitPartition:
     for x in range(n):
         groups.setdefault(find(x), []).append(x)
     orbits = tuple(tuple(sorted(members)) for _, members in sorted(groups.items()))
-    orbit_id = [0] * n
-    for label, orbit in enumerate(orbits):
-        for x in orbit:
-            orbit_id[x] = label
-    return OrbitPartition(orbit_id=tuple(orbit_id), orbits=orbits)
+    return OrbitPartition(orbits=orbits)

@@ -6,6 +6,11 @@ permutation (rho(x^y) = rho(x)^y) and acting through it inverts columns
 
 The enumerator here is the package's independent oracle: classification
 shortcuts are always cross-checked against it, never substituted for it.
+It runs the package's one isomorphism search, because the good involutions
+are exactly the involutive isomorphisms (Q, ^) -> (Q, ^-1) whose images meet
+the column condition: putting rho(y) for y in x^rho(y) = x^(y^-1) and using
+rho^2 = id gives x^(rho(y)^-1) = x^y, so rho(x^y) = rho(x)^y reads
+rho(x^y) = rho(x)^(rho(y)^-1).
 """
 
 from __future__ import annotations
@@ -26,7 +31,6 @@ from .errors import (
 from .groups import (
     FiniteGroup,
     GroupAutomorphism,
-    OrbitPartition,
     _iso_search,
     fixed_two_torsion,
     orbits_under,
@@ -59,7 +63,7 @@ __all__ = [
 ]
 
 # The plain-filter oracle walks every involutive permutation; past this order
-# the count explodes and the constraint-propagation enumerator must be used.
+# the count explodes and the search-based enumerator must be used.
 _FILTER_MAX_ORDER = 12
 
 
@@ -160,123 +164,35 @@ def symmetric_quandle(q: FiniteQuandle, rho: Sequence[int]) -> SymmetricQuandle:
 
 # -- enumeration ----------------------------------------------------------------
 
-def _candidate_sets(q: FiniteQuandle) -> list[tuple[int, ...]]:
-    """For each y, the elements whose column equals y's inverse column.
+def _good_involutions(q: FiniteQuandle, budget: SearchBudget) -> list[tuple[int, ...]]:
+    """All good involutions of q, in lexicographic order.
 
-    The column condition forces rho(y) into this set, because acting through
-    rho(y) must equal acting through y inverse on every element.
+    They are the involutive isomorphisms (Q, ^) -> (Q, ^-1) that map each y
+    to an element whose column equals y's inverse column (the column
+    condition).  A good involution also commutes with every column
+    x -> x ^ y, so each distinct non-identity column is passed as an
+    intertwined pair; that prunes the search without changing its result.
     """
     by_column: dict[tuple[int, ...], list[int]] = {}
     for z, column in enumerate(zip(*q.op)):
         by_column.setdefault(column, []).append(z)
-    return [tuple(by_column.get(column, ())) for column in zip(*q.inv_op)]
-
-
-def _enumerate_rhos(
-    q: FiniteQuandle, part: OrbitPartition, budget: SearchBudget
-) -> list[tuple[int, ...]]:
-    """Constraint-propagation enumeration of all good involutions.
-
-    Per-element candidate sets come from the column condition.  Equivariance
-    makes the choice at one representative propagate across its whole inner
-    orbit, so the search branches only over orbit representatives.  The
-    involution requirement is enforced incrementally: assigning rho(x) = z
-    books the reverse assignment rho(z) = x and prunes any branch that later
-    contradicts it.  Output is the complete set, sorted lexicographically.
-    """
-    n = q.order
-    cands = _candidate_sets(q)
-    if any(not c for c in cands):
-        return []
-    cand_sets = [frozenset(c) for c in cands]
-    orbits = part.orbits
-    singleton = [len(orbits[part.orbit_id[x]]) == 1 for x in range(n)]
-    op = q.op
-
-    rho = [-1] * n
-    need = [-1] * n
-    results: list[tuple[int, ...]] = []
-
-    def set_value(x: int, z: int, trail: list[tuple[str, int]]) -> bool:
-        if rho[x] >= 0:
-            return rho[x] == z
-        if need[x] >= 0 and need[x] != z:
-            return False
-        if z not in cand_sets[x]:
-            return False
-        back = rho[z]
-        if back >= 0:
-            if back != x:
-                return False
-        elif need[z] < 0:
-            need[z] = x
-            trail.append(("n", z))
-        elif need[z] != x:
-            return False
-        rho[x] = z
-        trail.append(("r", x))
-        return True
-
-    def assign_orbit(orbit: tuple[int, ...], v: int, trail: list) -> bool:
-        rep = orbit[0]
-        if singleton[rep]:
-            # equivariance collapses to: the image must be a fixed point of
-            # every inner permutation as well
-            return singleton[v] and set_value(rep, v, trail)
-        if not set_value(rep, v, trail):
-            return False
-        queue = [rep]
-        qi = 0
-        while qi < len(queue):
-            x = queue[qi]
-            qi += 1
-            budget.spend()
-            row = op[x]
-            image_row = op[rho[x]]
-            for y in range(n):
-                x2 = row[y]
-                z2 = image_row[y]
-                if rho[x2] >= 0:
-                    if rho[x2] != z2:
-                        return False
-                else:
-                    if not set_value(x2, z2, trail):
-                        return False
-                    queue.append(x2)
-        return True
-
-    def undo(trail: list[tuple[str, int]]) -> None:
-        for kind, idx in reversed(trail):
-            if kind == "r":
-                rho[idx] = -1
-            else:
-                need[idx] = -1
-
-    def rec(k: int) -> None:
-        if k == len(orbits):
-            results.append(tuple(rho))
-            return
-        orbit = orbits[k]
-        rep = orbit[0]
-        forced = need[rep]
-        options = cands[rep] if forced < 0 else (forced,)
-        for v in options:
-            budget.spend()
-            trail: list[tuple[str, int]] = []
-            if assign_orbit(orbit, v, trail):
-                rec(k + 1)
-            undo(trail)
-
-    rec(0)
-    results.sort()
-    return results
+    identity = perms.identity_perm(q.order)
+    return _iso_search(
+        q.op,
+        q.inv_op,
+        find_all=True,
+        budget=budget,
+        pairs=[(column, column) for column in by_column if column != identity],
+        candidates=[by_column.get(column, ()) for column in zip(*q.inv_op)],
+        involutive=True,
+    )
 
 
 def enumerate_good_involutions(
     q: FiniteQuandle, budget: int | None = None
 ) -> list[SymmetricQuandle]:
     """Complete, duplicate-free list of good involutions, lexicographic order."""
-    rhos = _enumerate_rhos(q, inner_orbits(q), SearchBudget(budget))
+    rhos = _good_involutions(q, SearchBudget(budget))
     return [SymmetricQuandle(quandle=q, rho=p) for p in rhos]
 
 
@@ -340,8 +256,7 @@ def symmetric_quandle_isomorphic(
         b.quandle.op,
         find_all=False,
         budget=tracker,
-        rho1=a.rho,
-        rho2=b.rho,
+        pairs=[(a.rho, b.rho)],
     )
     if not found:
         return None
@@ -363,7 +278,6 @@ def _partition_by_isomorphism(
     """
     m = len(rhos)
     index = {p: i for i, p in enumerate(rhos)}
-    types = [perms.cycle_type(p) for p in rhos]
     parent = list(range(m))
 
     def find(i: int) -> int:
@@ -392,30 +306,25 @@ def _partition_by_isomorphism(
                 )
             union(i, j)
 
-    reps: list[int] = []
+    # (index, cycle type) of each class representative, the smallest index of
+    # its class and so its union-find root
+    reps: list[tuple[int, tuple[int, ...]]] = []
     for i in range(m):
-        root = find(i)
-        if any(find(r) == root for r in reps):
+        if find(i) != i:
             continue
-        placed = False
-        tried: set[int] = set()
-        for r in reps:
-            if types[r] != types[i]:
+        kind = perms.cycle_type(rhos[i])
+        for r, r_kind in reps:
+            if r_kind != kind:
                 continue
-            rr = find(r)
-            if rr in tried:
-                continue
-            tried.add(rr)
             found = _iso_search(
-                q.op, q.op, find_all=False, budget=budget, rho1=rhos[r], rho2=rhos[i]
+                q.op, q.op, find_all=False, budget=budget, pairs=[(rhos[r], rhos[i])]
             )
             if found:
                 union(r, i)
                 apply_witness(found[0])
-                placed = True
                 break
-        if not placed:
-            reps.append(i)
+        else:
+            reps.append((i, kind))
 
     classes: dict[int, list[int]] = {}
     for i in range(m):
@@ -431,7 +340,7 @@ def _theorem_classes(
     restricted = []
     table = phi.group.product
     centralizer = _iso_search(
-        table, table, find_all=True, budget=budget, rho1=phi.perm, rho2=phi.perm
+        table, table, find_all=True, budget=budget, pairs=[(phi.perm, phi.perm)]
     )
     for psi in centralizer:
         images = [psi[r] for r in fixed]
@@ -523,7 +432,7 @@ def _analyze(
             hit = None if reuse is None else reuse.get(q.op)
             if hit is None:
                 start = budget.used
-                rhos = _enumerate_rhos(q, orbits, budget)
+                rhos = _good_involutions(q, budget)
                 if classify:
                     brute = _partition_by_isomorphism(q, rhos, budget)
                 if reuse is not None:

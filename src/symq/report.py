@@ -14,12 +14,25 @@ from .involutions import SqClassification
 
 
 def _analysis_report(
-    result: SqClassification, group_spec: str | None, elapsed_ms: int | None
+    result: SqClassification,
+    group_spec: str | None,
+    elapsed_ms: int | None,
+    lists: dict | None = None,
 ) -> dict:
-    """The fixed-key report of one analysis; every quandle report is made here."""
+    """The fixed-key report of one analysis; every quandle report is made here.
+
+    Reports made with one `lists` dict (involution tuple -> report list)
+    share one list, built once, between equal involution lists.
+    """
     known = result.orbit_count is not None
     witness = result.kei_witness
     rhos = result.good_involutions
+    if rhos is not None:
+        lists = {} if lists is None else lists
+        rows = lists.get(rhos)
+        if rows is None:
+            rows = lists[rhos] = [list(p) for p in rhos]
+        rhos = rows
     fixed = result.fixed_two_torsion
     return {
         "tool_version": __about__.__version__,
@@ -30,7 +43,7 @@ def _analysis_report(
         "kei_witness": None if witness is None else list(witness),
         "is_connected": result.orbit_count == 1 if known else None,
         "orbit_count": result.orbit_count,
-        "good_involutions": None if rhos is None else [list(p) for p in rhos],
+        "good_involutions": rhos,
         "fixed_two_torsion": None if fixed is None else list(fixed),
         "sq_classes_bruteforce": result.bruteforce_count,
         "sq_classes_theorem": result.theorem_count,

@@ -74,12 +74,12 @@ def test_run_catalog_budget_notes_recorded():
                       "product:cyclic:2,cyclic:2"}
 
 
-@pytest.mark.parametrize("max_order, budget", [(9, None), (8, 13_823), (8, 13_822)])
+@pytest.mark.parametrize("max_order, budget", [(9, None), (8, 6_341), (8, 6_340)])
 def test_run_catalog_reuse_changes_nothing(max_order, budget):
     # entries with equal tables share one oracle run and one partition, yet
     # each report equals a fresh analysis of that entry alone.  The five
     # phi = id entries of order 8 share the trivial table, whose oracle and
-    # partition spend exactly 13,823 nodes: they all fit, or none does.
+    # partition spend exactly 6,341 nodes: they all fit, or none does.
     reports, _ = symq.run_catalog(max_order, budget=budget)
     entries = symq.catalog_entries(max_order, budget=budget)
     assert reports == [entry_report(e, budget) for e in entries]
@@ -90,7 +90,7 @@ def test_run_catalog_reuse_changes_nothing(max_order, budget):
     ]
     assert len(trivial) == 5
     if budget is not None:
-        assert trivial == [budget == 13_823] * 5
+        assert trivial == [budget == 6_341] * 5
 
 
 def test_run_catalog_reports_share_equal_involution_lists():

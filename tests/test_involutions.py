@@ -75,6 +75,21 @@ def test_enumerator_matches_plain_filter(small_family):
             assert fast == plain, label
 
 
+@pytest.mark.parametrize("m, count", [(3, 1), (5, 1), (6, 8)])
+def test_conjugation_quandles_are_non_keis_with_good_involutions(m, count):
+    # x ^ y = y^-1 x y on the dihedral group of order 2m: the inverse
+    # operation differs from the operation, yet x -> x^-1 is good
+    g = symq.dihedral_group(m)
+    p, inv = g.product, g.inverse
+    q = symq.validate_quandle(
+        [[p[p[inv[y]][x]][y] for y in range(g.order)] for x in range(g.order)]
+    )
+    assert not symq.is_kei(q)
+    found = rhos_of(symq.enumerate_good_involutions(q))
+    assert found == rhos_of(symq.enumerate_good_involutions_by_filter(q))
+    assert len(found) == count and inv in found
+
+
 def test_enumerator_budget(r4):
     with pytest.raises(errors.SearchBudgetExceeded):
         symq.enumerate_good_involutions(r4, budget=1)

@@ -201,14 +201,14 @@ def test_rho_search_matches_filter_small_keis():
                 by_b.setdefault(compose(compose(f, a), invert(f)), []).append(f)
             for b in rhos:
                 found = _iso_search(
-                    q.op, q.op, find_all=True, budget=SearchBudget(), rho1=a, rho2=b
+                    q.op, q.op, find_all=True, budget=SearchBudget(), pairs=[(a, b)]
                 )
                 assert found == by_b.get(b, []), (entry.label, a, b)
     assert len(seen) == 18
 
 
-# Nodes each search needs, recorded before implied pairs were checked in
-# place.  The search tree fixes them, and with them every budget outcome.
+# Nodes each search needs.  The search tree fixes them, and with them every
+# budget outcome.
 
 
 def run_with_exact_budget(nodes, call):
@@ -218,7 +218,7 @@ def run_with_exact_budget(nodes, call):
     return call(nodes)
 
 
-@pytest.mark.parametrize("index, classes, nodes", [(0, 2, 380), (4, 3, 33_275)])
+@pytest.mark.parametrize("index, classes, nodes", [(0, 2, 138), (4, 3, 33_035)])
 def test_bruteforce_node_count_a5(a5_connected_keis, index, classes, nodes):
     q = a5_connected_keis[index][1]
     result = run_with_exact_budget(
@@ -230,7 +230,7 @@ def test_bruteforce_node_count_a5(a5_connected_keis, index, classes, nodes):
 def test_bruteforce_node_count_trivial_order_8():
     q = symq.validate_quandle(trivial_table(8))
     result = run_with_exact_budget(
-        13_823, lambda b: symq.classify_sq_bruteforce(q, budget=b)
+        6_341, lambda b: symq.classify_sq_bruteforce(q, budget=b)
     )
     assert (len(result.good_involutions), result.bruteforce_count) == (764, 5)
 
