@@ -2,6 +2,8 @@
 """Tabulate the order-2 torus model across dimensions.
 
 Usage: python scripts/torus_sweep.py [MAX_N]
+
+MAX_N defaults to symq.torus.MAX_DIMENSION, the largest dimension the model takes.
 """
 
 import sys
@@ -11,7 +13,7 @@ import symq
 
 
 def main() -> int:
-    max_n = int(sys.argv[1]) if len(sys.argv) > 1 else 12
+    max_n = int(sys.argv[1]) if len(sys.argv) > 1 else symq.torus.MAX_DIMENSION
     print(f"{'n':>3} {'2-torsion':>10} {'classes':>8} {'orbit(e1)':>10} {'ms':>7}")
     for n in range(1, max_n + 1):
         start = time.monotonic()

@@ -1,10 +1,23 @@
+import json
+import time
+from collections import deque
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import symq
 from symq import errors
-from symq.torus import Transvection, _class_count_with_generators, all_transvections
+from symq.cli import main
+from symq.torus import (
+    MAX_DIMENSION,
+    Transvection,
+    _class_count_with_generators,
+    _orbit_bitmap,
+    _shear_moves,
+    adjacent_transvections,
+    all_transvections,
+)
 
 
 def bits_of(vectors):
@@ -69,6 +82,55 @@ def test_class_count_all_small():
 def test_model_inconsistency_fires_on_crippled_generators():
     with pytest.raises(errors.ModelInconsistency):
         _class_count_with_generators(2, [])
+
+
+def test_model_inconsistency_reports_partial_orbit():
+    # E_01 never touches e1 = "100" (its coordinate 1 is clear): 1 of 7 covered.
+    with pytest.raises(errors.ModelInconsistency, match="covers 1 of 7 nonzero vectors"):
+        _class_count_with_generators(3, [Transvection(0, 1)])
+
+
+def reference_orbit(n, v):
+    """Breadth-first closure of v under every shear, one `apply` per step."""
+    seen = {v.bits}
+    queue = deque([v])
+    while queue:
+        u = queue.popleft()
+        for t in all_transvections(n):
+            w = t.apply(u)
+            if w.bits not in seen:
+                seen.add(w.bits)
+                queue.append(w)
+    return seen
+
+
+def test_adjacent_closure_matches_all_shears_and_reference_bfs():
+    for n in range(1, 9):
+        assert len(adjacent_transvections(n)) == 2 * (n - 1)
+        adjacent = _shear_moves(n, adjacent_transvections(n))
+        every = _shear_moves(n, all_transvections(n))
+        reference = {}
+        for v in symq.two_torsion_set(n):
+            if v.bits not in reference:
+                # An orbit of a group action is the orbit of each of its points.
+                orbit = reference_orbit(n, v)
+                reference.update(dict.fromkeys(orbit, orbit))
+            expected = sum(1 << p for p in reference[v.bits])
+            assert _orbit_bitmap(v.bits, adjacent) == expected, (n, v.bits)
+            assert _orbit_bitmap(v.bits, every) == expected, (n, v.bits)
+            assert bits_of(symq.transvection_orbit(n, v)) == sorted(reference[v.bits])
+
+
+def test_torus_cli_at_max_dimension(capsys):
+    start = time.monotonic()
+    code = main(["torus", "--n", str(MAX_DIMENSION)])
+    elapsed = time.monotonic() - start
+    report = json.loads(capsys.readouterr().out)
+    assert code == 0
+    assert report["two_torsion_size"] == 2**MAX_DIMENSION
+    assert report["class_count"] == 2
+    assert report["orbit_check_passed"] is True
+    assert elapsed < 3.0
 
 
 def test_report_notes_degenerate_dimension():
