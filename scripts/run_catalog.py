@@ -33,8 +33,10 @@ def main() -> int:
     for r in reports:
         row = by_order[r["order"]]
         row[0] += 1
-        row[1] += r["is_kei"]
-        row[2] += r["is_kei"] and r["is_connected"]
+        # a group whose automorphisms ran out of budget gets one placeholder
+        # report with is_kei null; it counts as neither kind of kei
+        row[1] += bool(r["is_kei"])
+        row[2] += bool(r["is_kei"] and r["is_connected"])
         if r["good_involutions"] is not None:
             row[3] += len(r["good_involutions"])
 

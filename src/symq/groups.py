@@ -310,8 +310,8 @@ def validate_automorphism(
 # -- isomorphism search (shared with the quandle side) ----------------------------
 
 def _iso_search(
-    op1: Sequence[Sequence[int]],
-    op2: Sequence[Sequence[int]],
+    op1: Sequence[Sequence[int]] | None = None,
+    op2: Sequence[Sequence[int]] | None = None,
     *,
     find_all: bool,
     budget: SearchBudget,
@@ -325,10 +325,10 @@ def _iso_search(
     table it lists the automorphisms, and with the pair (phi, phi) those
     that commute with phi.  Between quandle operations it lists the
     isomorphisms, and with the pair (rho1, rho2) the symmetric-quandle ones.
-    From an operation to its inverse, involutive and with the column
-    condition as `candidates`, it lists the good involutions: putting rho(y)
-    for y in x * rho(y) = x *^-1 y gives x *^-1 rho(y) = x * y (rho^2 = id),
-    so rho(x * y) = rho(x) * y reads rho(x * y) = rho(x) *^-1 rho(y).
+    Without tables it lists the bijections of 0..n-1 (n = len(candidates))
+    that meet the candidates and the pairs alone: involutive, with the
+    column condition as candidates and each column as the pair (column,
+    column), these are the good involutions, by their definition.
 
     Each pair (p1, p2) asks for f(p1(x)) = p2(f(x)); with `involutive`
     each assignment a -> b also asks for b -> a.  The candidate images of x
@@ -338,20 +338,23 @@ def _iso_search(
     fixes x.  Variables are assigned in ascending element order with
     ascending candidate values, so results come out in lexicographic order
     and a self-search always reports the identity first.  One budget node
-    is charged per candidate tried.  Each assignment a -> b implies
-    f(a * c) = b * f(c) and f(c * a) = f(c) * b for every element c that
-    already has an image; an implied pair whose left side already has an
-    image is checked in place, and only pairs for unassigned elements are
-    queued.  The closure is the same in any processing order, so the
-    search tree does not depend on it.  Passing the same table object twice
-    marks a self-search, whose column data is computed once.
+    is charged per candidate tried.  With tables, each assignment a -> b
+    implies f(a * c) = b * f(c) and f(c * a) = f(c) * b for every element
+    c that already has an image; an implied pair whose left side already
+    has an image is checked in place, and only pairs for unassigned
+    elements are queued.  The closure is the same in any processing order,
+    so the search tree does not depend on it.  Passing the same table
+    object twice marks a self-search, whose column data is computed once.
     """
-    n = len(op1)
-    if len(op2) != n:
-        return []
-    # columns: cols[a][c] = c * a
-    cols1 = tuple(zip(*op1))
-    cols2 = cols1 if op2 is op1 else tuple(zip(*op2))
+    if op1 is None:
+        n = len(candidates)
+    else:
+        n = len(op1)
+        if len(op2) != n:
+            return []
+        # columns: cols[a][c] = c * a
+        cols1 = tuple(zip(*op1))
+        cols2 = cols1 if op2 is op1 else tuple(zip(*op2))
     if candidates is None:
         prof1 = [perms.cycle_type(col) for col in cols1]
         prof2 = prof1 if op2 is op1 else [perms.cycle_type(col) for col in cols2]
@@ -391,6 +394,8 @@ def _iso_search(
                 stack.append((b, a))
             for p1, p2 in pairs:
                 stack.append((p1[a], p2[b]))
+            if op1 is None:
+                continue
             row1, col1, row2, col2 = op1[a], cols1[a], op2[b], cols2[b]
             # the implied pairs (a * c, b * f(c)) and (c * a, f(c) * b)
             for c in done:

@@ -6,11 +6,11 @@ permutation (rho(x^y) = rho(x)^y) and acting through it inverts columns
 
 The enumerator here is the package's independent oracle: classification
 shortcuts are always cross-checked against it, never substituted for it.
-It runs the package's one isomorphism search, because the good involutions
-are exactly the involutive isomorphisms (Q, ^) -> (Q, ^-1) whose images meet
-the column condition: putting rho(y) for y in x^rho(y) = x^(y^-1) and using
-rho^2 = id gives x^(rho(y)^-1) = x^y, so rho(x^y) = rho(x)^y reads
-rho(x^y) = rho(x)^(rho(y)^-1).
+It runs the package's one backtracking search on the definition itself:
+involutive bijections whose images meet the column condition and that
+commute with every column x -> x^y.  The brute-force classes come from a
+union-find over the oracle's list, joined by exhaustive isomorphism searches
+and by the conjugates of the roots not yet reached under each witness found.
 """
 
 from __future__ import annotations
@@ -167,19 +167,18 @@ def symmetric_quandle(q: FiniteQuandle, rho: Sequence[int]) -> SymmetricQuandle:
 def _good_involutions(q: FiniteQuandle, budget: SearchBudget) -> list[tuple[int, ...]]:
     """All good involutions of q, in lexicographic order.
 
-    They are the involutive isomorphisms (Q, ^) -> (Q, ^-1) that map each y
-    to an element whose column equals y's inverse column (the column
-    condition).  A good involution also commutes with every column
-    x -> x ^ y, so each distinct non-identity column is passed as an
-    intertwined pair; that prunes the search without changing its result.
+    The search takes no table: each y's candidates are the elements whose
+    column equals y's inverse column (the column condition), and each
+    distinct non-identity column is an intertwined pair (equivariance).
+    Every pair that propagating an assignment through the table would imply
+    is one of these column pairs, since the images meet the column
+    condition, so the table would prune nothing more.
     """
     by_column: dict[tuple[int, ...], list[int]] = {}
     for z, column in enumerate(zip(*q.op)):
         by_column.setdefault(column, []).append(z)
     identity = perms.identity_perm(q.order)
     return _iso_search(
-        q.op,
-        q.inv_op,
         find_all=True,
         budget=budget,
         pairs=[(column, column) for column in by_column if column != identity],
@@ -271,10 +270,13 @@ def _partition_by_isomorphism(
     """Union-find partition of the involution list under symmetric isomorphism.
 
     Only pairs with equal cycle type are searched (conjugate permutations
-    must share it).  Every witness f found is also applied as a conjugation
-    f . rho . f^-1 across the whole list, which links far more pairs than the
-    single search that produced it; the searches themselves stay exhaustive,
-    so a failure against every representative is conclusive.
+    must share it).  A witness f joining root i to a representative is also
+    applied as a conjugation f . rho . f^-1 to the open roots: those past i
+    that are still their own root, one node each.  That links far more
+    pairs than the single search that produced it.  A root left open is
+    searched against every representative when the loop reaches it, and
+    the searches are exhaustive, so a failure against all of them is
+    conclusive however much the witnesses linked.
     """
     m = len(rhos)
     index = {p: i for i, p in enumerate(rhos)}
@@ -291,20 +293,23 @@ def _partition_by_isomorphism(
         if ri != rj:
             parent[max(ri, rj)] = min(ri, rj)
 
-    def apply_witness(f: tuple[int, ...]) -> None:
-        budget.spend(m)
-        if len(f) == 1:
-            return  # the one permutation of one point; itemgetter would give scalars
+    # the roots the main loop has not reached yet, pruned as they are joined
+    open_roots = list(range(m))
+
+    def apply_witness(f: tuple[int, ...], i: int) -> None:
+        nonlocal open_roots
+        open_roots = [j for j in open_roots if j > i and parent[j] == j]
+        budget.spend(len(open_roots))
         # f . p . f^-1, each step an itemgetter call that builds the tuple in C
         after_inverse = itemgetter(*perms.invert(f))
-        for i, p in enumerate(rhos):
-            conj = itemgetter(*after_inverse(p))(f)
-            j = index.get(conj)
-            if j is None:
+        for j in open_roots:
+            conj = itemgetter(*after_inverse(rhos[j]))(f)
+            k = index.get(conj)
+            if k is None:
                 raise InternalConsistencyError(
                     "conjugate of a good involution is missing from the oracle list"
                 )
-            union(i, j)
+            union(j, k)
 
     # (index, cycle type) of each class representative, the smallest index of
     # its class and so its union-find root
@@ -321,7 +326,7 @@ def _partition_by_isomorphism(
             )
             if found:
                 union(r, i)
-                apply_witness(found[0])
+                apply_witness(found[0], i)
                 break
         else:
             reps.append((i, kind))

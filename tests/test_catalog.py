@@ -1,3 +1,7 @@
+import runpy
+import sys
+from pathlib import Path
+
 import pytest
 
 import symq
@@ -74,12 +78,31 @@ def test_run_catalog_budget_notes_recorded():
                       "product:cyclic:2,cyclic:2"}
 
 
-@pytest.mark.parametrize("max_order, budget", [(9, None), (8, 6_341), (8, 6_340)])
+def test_run_catalog_script_counts_budget_placeholders(monkeypatch, capsys):
+    # under a one-node budget every group of order 2 to 4 runs out while
+    # listing its automorphisms and gets a placeholder report whose is_kei
+    # is null; the summary script counts it as neither kind of kei
+    script = Path(__file__).resolve().parents[1] / "scripts" / "run_catalog.py"
+    main = runpy.run_path(str(script))["main"]
+    monkeypatch.setenv("SYMQ_BUDGET", "1")
+    monkeypatch.setattr(sys, "argv", ["run_catalog.py", "4"])
+    assert main() == 0
+    rows = capsys.readouterr().out.splitlines()
+    assert [row.split() for row in rows[1:5]] == [
+        ["1", "1", "1", "1", "0"],
+        ["2", "1", "0", "0", "0"],
+        ["3", "1", "0", "0", "0"],
+        ["4", "2", "0", "0", "0"],
+    ]
+    assert rows[-1].startswith("5 entries, 0 hypothesis-met, 0 agreement failures, 5 budget notes")
+
+
+@pytest.mark.parametrize("max_order, budget", [(9, None), (8, 3_023), (8, 3_022)])
 def test_run_catalog_reuse_changes_nothing(max_order, budget):
     # entries with equal tables share one oracle run and one partition, yet
     # each report equals a fresh analysis of that entry alone.  The five
     # phi = id entries of order 8 share the trivial table, whose oracle and
-    # partition spend exactly 6,341 nodes: they all fit, or none does.
+    # partition spend exactly 3,023 nodes: they all fit, or none does.
     reports, _ = symq.run_catalog(max_order, budget=budget)
     entries = symq.catalog_entries(max_order, budget=budget)
     assert reports == [entry_report(e, budget) for e in entries]
@@ -90,7 +113,7 @@ def test_run_catalog_reuse_changes_nothing(max_order, budget):
     ]
     assert len(trivial) == 5
     if budget is not None:
-        assert trivial == [budget == 6_341] * 5
+        assert trivial == [budget == 3_023] * 5
 
 
 def test_run_catalog_reports_share_equal_involution_lists():

@@ -222,6 +222,55 @@ def test_classify_trivial_quandle_small_orders(n, involutions, classes):
     assert result.bruteforce_count == classes
 
 
+@pytest.mark.parametrize("n", range(1, 9))
+def test_classify_trivial_quandle_by_two_cycles(n):
+    # on a trivial quandle every involution is good, and an isomorphism is any
+    # permutation, so the classes are the conjugacy classes of involutions in
+    # S_n: the involutions grouped by their number of 2-cycles
+    g = symq.cyclic_group(n)
+    result = symq.classify_sq_bruteforce(symq.galex(g, symq.identity_automorphism(g)))
+    assert list(result.good_involutions) == sorted(involutions(n))
+    by_swaps = {}
+    for i, p in enumerate(result.good_involutions):
+        by_swaps.setdefault(sum(p[x] > x for x in range(n)), []).append(i)
+    expected = sorted(tuple(members) for members in by_swaps.values())
+    assert list(result.classes_bruteforce) == expected
+
+
+def test_partition_raises_on_a_missing_conjugate(klein):
+    # with (3 2 1 0) left out of the trivial quandle's list, a witness
+    # conjugates another double transposition onto it, which the
+    # partition reports instead of leaving out
+    from symq.budget import SearchBudget
+    from symq.involutions import _partition_by_isomorphism
+
+    q = symq.galex(klein, symq.identity_automorphism(klein))
+    rhos = rhos_of(symq.enumerate_good_involutions(q))
+    assert rhos[-1] == (3, 2, 1, 0)
+    with pytest.raises(errors.InternalConsistencyError, match="missing"):
+        _partition_by_isomorphism(q, rhos[:-1], SearchBudget())
+
+
+def test_oracle_node_total_over_catalog_family_9():
+    # the oracle searches the definition alone: involutive bijections that
+    # meet the column condition and commute with every column.  Its node
+    # total over the distinct tables up to order 9 is the one it had while
+    # it also propagated every assignment through the table, so that
+    # propagation pruned nothing
+    from symq.budget import SearchBudget
+    from symq.involutions import _good_involutions
+
+    tables = {}
+    for _, g in symq.catalog_family(9):
+        for phi in symq.enumerate_automorphisms(g):
+            q = symq.galex(g, phi)
+            tables.setdefault(q.op, q)
+    budget = SearchBudget()
+    for q in tables.values():
+        _good_involutions(q, budget)
+    assert (len(tables), budget.used) == (277, 9_847)
+
+
 def test_reuse_charges_the_recorded_nodes(klein):
     # a second analysis of the same table takes the stored involutions and
     # classes and is charged the nodes the first one spent
