@@ -73,7 +73,6 @@ from .involutions import (
     classify_sq_theorem,
     cross_check_sq,
     enumerate_good_involutions,
-    enumerate_good_involutions_by_filter,
     exists_good_involution_galex,
     good_involutions_closed_form,
     is_good_involution,

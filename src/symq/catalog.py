@@ -79,8 +79,9 @@ def catalog_family(
             labels.append("quaternion")
         if order == 12 and include_extras:
             labels.append("alternating:4")
-    if include_extras and max_order >= 12:
-        labels.append("symmetric:4")
+        # symmetric:4 (order 24) joins from max order 12, last until order 24
+        if include_extras and order == min(max_order, 24) >= 12:
+            labels.append("symmetric:4")
     return [(label, build_group(label)) for label in labels]
 
 

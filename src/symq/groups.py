@@ -152,9 +152,10 @@ def validate_group(product_table: Sequence[Sequence[int]]) -> FiniteGroup:
     )
 
 
-# -- constructors (identity always at index 0) --------------------------------
+# -- constructors ---------------------------------------------------------------
 
 def _group_from_rows(rows: list[list[int]]) -> FiniteGroup:
+    """The group of a table whose identity is index 0."""
     n = len(rows)
     inverse = [0] * n
     for i in range(n):
@@ -251,19 +252,18 @@ def direct_product(factors: Sequence[FiniteGroup]) -> FiniteGroup:
 
 
 def _product_of_two(g1: FiniteGroup, g2: FiniteGroup) -> FiniteGroup:
+    # identity and inverses from the factors: a file table's identity may sit anywhere
     n2 = g2.order
-    n = g1.order * n2
-    rows = []
-    for a in range(n):
-        a1, a2 = divmod(a, n2)
-        row = []
-        p1 = g1.product[a1]
-        p2 = g2.product[a2]
-        for b in range(n):
-            b1, b2 = divmod(b, n2)
-            row.append(p1[b1] * n2 + p2[b2])
-        rows.append(row)
-    return _group_from_rows(rows)
+    pairs = [divmod(x, n2) for x in range(g1.order * n2)]
+    return FiniteGroup(
+        order=len(pairs),
+        product=tuple(
+            tuple(g1.product[a1][b1] * n2 + g2.product[a2][b2] for b1, b2 in pairs)
+            for a1, a2 in pairs
+        ),
+        identity=g1.identity * n2 + g2.identity,
+        inverse=tuple(g1.inverse[a1] * n2 + g2.inverse[a2] for a1, a2 in pairs),
+    )
 
 
 # -- predicates and automorphisms ---------------------------------------------
@@ -494,21 +494,32 @@ def orbits_under(maps: Sequence[Sequence[int]], n: int) -> OrbitPartition:
     """
     checked = [perms.as_permutation(m, n) for m in maps]
     parent = list(range(n))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
     for m in checked:
         for x in range(n):
-            rx, ry = find(x), find(m[x])
-            if rx != ry:
-                parent[max(rx, ry)] = min(rx, ry)
+            _join(parent, x, m[x])
+    return OrbitPartition(orbits=_blocks(parent))
 
-    groups: dict[int, list[int]] = {}
-    for x in range(n):
-        groups.setdefault(find(x), []).append(x)
-    orbits = tuple(tuple(sorted(members)) for _, members in sorted(groups.items()))
-    return OrbitPartition(orbits=orbits)
+
+# -- union-find over 0..n-1, shared by the orbit and class partitions -----------
+
+def _root(parent: list[int], x: int) -> int:
+    while parent[x] != x:
+        parent[x] = parent[parent[x]]
+        x = parent[x]
+    return x
+
+
+def _join(parent: list[int], x: int, y: int) -> None:
+    """Merge the blocks of x and y; a root is always its block's smallest member."""
+    rx, ry = _root(parent, x), _root(parent, y)
+    if rx != ry:
+        parent[max(rx, ry)] = min(rx, ry)
+
+
+def _blocks(parent: list[int]) -> tuple[tuple[int, ...], ...]:
+    """The blocks as ascending tuples, ordered by smallest member."""
+    blocks: dict[int, list[int]] = {}
+    # ascending x meets each block first at its smallest member
+    for x in range(len(parent)):
+        blocks.setdefault(_root(parent, x), []).append(x)
+    return tuple(tuple(members) for members in blocks.values())

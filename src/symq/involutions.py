@@ -31,7 +31,9 @@ from .errors import (
 from .groups import (
     FiniteGroup,
     GroupAutomorphism,
+    _blocks,
     _iso_search,
+    _join,
     fixed_two_torsion,
     orbits_under,
 )
@@ -51,7 +53,6 @@ __all__ = [
     "check_good_involution",
     "is_good_involution",
     "enumerate_good_involutions",
-    "enumerate_good_involutions_by_filter",
     "exists_good_involution_galex",
     "rho_r",
     "good_involutions_closed_form",
@@ -61,11 +62,6 @@ __all__ = [
     "classify_sq_theorem",
     "cross_check_sq",
 ]
-
-# The plain-filter oracle walks every involutive permutation; past this order
-# the count explodes and the search-based enumerator must be used.
-_FILTER_MAX_ORDER = 12
-
 
 @dataclass(frozen=True)
 class SymmetricQuandle:
@@ -154,12 +150,13 @@ def is_good_involution(q: FiniteQuandle, rho: Sequence[int]) -> bool:
 
 
 def symmetric_quandle(q: FiniteQuandle, rho: Sequence[int]) -> SymmetricQuandle:
-    violation = check_good_involution(q, rho)
+    p = perms.as_permutation(rho, q.order)
+    violation = check_good_involution(q, p)
     if violation is not None:
         raise MalformedPermutation(
             f"not a good involution: {violation.condition} fails at {violation.witness}"
         )
-    return SymmetricQuandle(quandle=q, rho=tuple(rho))
+    return SymmetricQuandle(quandle=q, rho=p)
 
 
 # -- enumeration ----------------------------------------------------------------
@@ -193,19 +190,6 @@ def enumerate_good_involutions(
     """Complete, duplicate-free list of good involutions, lexicographic order."""
     rhos = _good_involutions(q, SearchBudget(budget))
     return [SymmetricQuandle(quandle=q, rho=p) for p in rhos]
-
-
-def enumerate_good_involutions_by_filter(q: FiniteQuandle) -> list[SymmetricQuandle]:
-    """Self-test oracle: filter every involutive permutation directly."""
-    if q.order > _FILTER_MAX_ORDER:
-        raise ValueError(
-            f"plain filter only runs up to order {_FILTER_MAX_ORDER}, got {q.order}"
-        )
-    return [
-        SymmetricQuandle(quandle=q, rho=p)
-        for p in perms.involutions(q.order)
-        if check_good_involution(q, p) is None
-    ]
 
 
 def exists_good_involution_galex(group: FiniteGroup, phi: GroupAutomorphism) -> bool:
@@ -281,41 +265,13 @@ def _partition_by_isomorphism(
     m = len(rhos)
     index = {p: i for i, p in enumerate(rhos)}
     parent = list(range(m))
-
-    def find(i: int) -> int:
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    def union(i: int, j: int) -> None:
-        ri, rj = find(i), find(j)
-        if ri != rj:
-            parent[max(ri, rj)] = min(ri, rj)
-
     # the roots the main loop has not reached yet, pruned as they are joined
     open_roots = list(range(m))
-
-    def apply_witness(f: tuple[int, ...], i: int) -> None:
-        nonlocal open_roots
-        open_roots = [j for j in open_roots if j > i and parent[j] == j]
-        budget.spend(len(open_roots))
-        # f . p . f^-1, each step an itemgetter call that builds the tuple in C
-        after_inverse = itemgetter(*perms.invert(f))
-        for j in open_roots:
-            conj = itemgetter(*after_inverse(rhos[j]))(f)
-            k = index.get(conj)
-            if k is None:
-                raise InternalConsistencyError(
-                    "conjugate of a good involution is missing from the oracle list"
-                )
-            union(j, k)
-
     # (index, cycle type) of each class representative, the smallest index of
     # its class and so its union-find root
     reps: list[tuple[int, tuple[int, ...]]] = []
     for i in range(m):
-        if find(i) != i:
+        if parent[i] != i:
             continue
         kind = perms.cycle_type(rhos[i])
         for r, r_kind in reps:
@@ -324,17 +280,25 @@ def _partition_by_isomorphism(
             found = _iso_search(
                 q.op, q.op, find_all=False, budget=budget, pairs=[(rhos[r], rhos[i])]
             )
-            if found:
-                union(r, i)
-                apply_witness(found[0], i)
-                break
+            if not found:
+                continue
+            _join(parent, r, i)
+            open_roots = [j for j in open_roots if j > i and parent[j] == j]
+            budget.spend(len(open_roots))
+            # f . p . f^-1, each step an itemgetter call that builds the tuple in C
+            f = found[0]
+            after_inverse = itemgetter(*perms.invert(f))
+            for j in open_roots:
+                k = index.get(itemgetter(*after_inverse(rhos[j]))(f))
+                if k is None:
+                    raise InternalConsistencyError(
+                        "conjugate of a good involution is missing from the oracle list"
+                    )
+                _join(parent, j, k)
+            break
         else:
             reps.append((i, kind))
-
-    classes: dict[int, list[int]] = {}
-    for i in range(m):
-        classes.setdefault(find(i), []).append(i)
-    return tuple(tuple(members) for _, members in sorted(classes.items()))
+    return _blocks(parent)
 
 
 def _theorem_classes(

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Iterable, Sequence
 
 from .errors import MalformedPermutation
 
@@ -52,34 +52,3 @@ def cycle_type(perm: Sequence[int]) -> tuple[int, ...]:
             length += 1
         lengths.append(length)
     return tuple(sorted(lengths))
-
-
-def involutions(n: int) -> Iterator[tuple[int, ...]]:
-    """Yield every involutive permutation of 0..n-1 in lexicographic order.
-
-    The smallest unplaced point is either fixed or paired with a larger
-    point, smallest partner first, which makes the output order lexicographic.
-    """
-    perm = list(range(n))
-    used = [False] * n
-
-    def rec(start: int) -> Iterator[tuple[int, ...]]:
-        i = start
-        while i < n and used[i]:
-            i += 1
-        if i == n:
-            yield tuple(perm)
-            return
-        used[i] = True
-        yield from rec(i + 1)  # i stays fixed
-        for j in range(i + 1, n):
-            if used[j]:
-                continue
-            used[j] = True
-            perm[i], perm[j] = j, i
-            yield from rec(i + 1)
-            used[j] = False
-            perm[i], perm[j] = i, j
-        used[i] = False
-
-    yield from rec(0)

@@ -81,8 +81,6 @@ def emit_report(report: dict, fmt: str = "json") -> str:
 
 def emit_reports(reports: list[dict], fmt: str = "json") -> str:
     """Render a report stream: JSON lines, or text blocks split by blank lines."""
-    if fmt == "json":
-        return "".join(to_json(r) for r in reports)
-    if fmt == "text":
-        return "\n".join(to_text(r) for r in reports)
-    raise ValueError(f"unknown format {fmt!r}")
+    if fmt not in ("json", "text"):  # an empty stream refuses a bad format too
+        raise ValueError(f"unknown format {fmt!r}")
+    return ("\n" if fmt == "text" else "").join(emit_report(r, fmt) for r in reports)

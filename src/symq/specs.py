@@ -39,9 +39,14 @@ __all__ = [
     "MAX_BUILT_ORDER",
 ]
 
-_KINDS = (
-    "cyclic", "product", "dihedral", "symmetric", "alternating", "quaternion", "file"
-)
+# numbered kind -> (the order that number K names, see _spec_order; constructor)
+_NUMBERED = {
+    "cyclic": (lambda k: k, cyclic_group),
+    "dihedral": (lambda k: 2 * k, dihedral_group),
+    "symmetric": (lambda k: _capped_product(range(2, k + 1)), symmetric_group),
+    "alternating": (lambda k: _capped_product(range(3, k + 1)), alternating_group),
+}
+_KINDS = (*_NUMBERED, "product", "quaternion", "file")
 
 
 @dataclass(frozen=True)
@@ -153,14 +158,8 @@ def _spec_order(spec: GroupSpec) -> int:
     Factorials and products stop growing at the cap, so a spec such as
     symmetric:1000000 is refused at once instead of after computing K!.
     """
-    if spec.kind == "cyclic":
-        return max(spec.number or 0, 0)
-    if spec.kind == "dihedral":
-        return 2 * (spec.number or 0)
-    if spec.kind == "symmetric":
-        return _capped_product(range(2, spec.number + 1))
-    if spec.kind == "alternating":
-        return _capped_product(range(3, spec.number + 1))
+    if spec.kind in _NUMBERED:
+        return _NUMBERED[spec.kind][0](spec.number)
     if spec.kind == "quaternion":
         return 8
     if spec.kind == "product":
@@ -169,14 +168,8 @@ def _spec_order(spec: GroupSpec) -> int:
 
 
 def _realize(spec: GroupSpec) -> FiniteGroup:
-    if spec.kind == "cyclic":
-        return cyclic_group(spec.number)
-    if spec.kind == "dihedral":
-        return dihedral_group(spec.number)
-    if spec.kind == "symmetric":
-        return symmetric_group(spec.number)
-    if spec.kind == "alternating":
-        return alternating_group(spec.number)
+    if spec.kind in _NUMBERED:
+        return _NUMBERED[spec.kind][1](spec.number)
     if spec.kind == "quaternion":
         return quaternion_group()
     if spec.kind == "product":
@@ -195,8 +188,9 @@ def _check_cap(spec: GroupSpec, order: int) -> None:
 
 
 def build_group(spec: str | GroupSpec) -> FiniteGroup:
-    """Build the group a spec string names; index 0 is the identity for all
-    built-in constructors, file-loaded tables keep theirs wherever it sits."""
+    """Build the group a spec string names; file-loaded tables keep their
+    identity wherever it sits, products pack their factors' identities, and
+    every other built-in constructor puts it at index 0."""
     parsed = parse_group_spec(spec) if isinstance(spec, str) else spec
     _check_cap(parsed, _spec_order(parsed))
     return _realize(parsed)

@@ -128,6 +128,8 @@ def _orbit_bitmap(start: int, moves: list[tuple[int, int, int]]) -> int:
 def transvection_orbit(n: int, v: BitVector) -> list[BitVector]:
     """Closure of v under every shear map, ordered by integer value."""
     _check_dimension(n)
+    if v.n != n:
+        raise ValueError(f"vector of dimension {v.n} given for dimension {n}")
     orbit = _orbit_bitmap(v.bits, _shear_moves(n, adjacent_transvections(n)))
     # bin() reversed puts the character for point p at index p.
     return [BitVector(n, p) for p, bit in enumerate(bin(orbit)[:1:-1]) if bit == "1"]
@@ -160,14 +162,13 @@ def torus_sq_class_count(n: int) -> int:
 
 def torus_report_data(n: int) -> dict:
     """Everything the CLI prints for one dimension."""
-    _check_dimension(n)
+    count = torus_sq_class_count(n)  # refuses an unsupported dimension first
     notes = []
     if n == 1:
         notes.append(
             "degenerate dimension: no shear maps exist, the two classes "
             "come from direct inspection"
         )
-    count = torus_sq_class_count(n)
     return {
         "model": "torus",
         "n": n,

@@ -43,6 +43,9 @@ def test_family_labels_round_trip_through_specs():
 def test_family_is_sorted_by_order():
     orders = [g.order for _, g in symq.catalog_family(10)]
     assert orders == sorted(orders)
+    # the extras too, once the family passes symmetric:4's order 24
+    orders = [g.order for _, g in symq.catalog_family(26, include_extras=True)]
+    assert orders == sorted(orders)
 
 
 def test_entry_count_max_order_four():

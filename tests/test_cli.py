@@ -4,7 +4,7 @@ import pytest
 
 import symq
 from symq.cli import main
-from symq.report import _analysis_report, emit_report, to_json
+from symq.report import _analysis_report, emit_report, emit_reports, to_json
 from symq.tableio import write_table
 
 
@@ -390,6 +390,8 @@ def test_catalog_stream_round_trips_byte_identical(capsys):
 def test_unknown_format_rejected():
     with pytest.raises(ValueError):
         emit_report({"a": 1}, "yaml")
+    with pytest.raises(ValueError):  # also when there is nothing to render
+        emit_reports([], "yaml")
 
 
 def test_usage_error_is_exit_one(capsys):

@@ -7,7 +7,9 @@ from hypothesis import strategies as st
 
 import symq
 from symq import errors
-from symq.perms import compose, invert, involutions
+from symq.perms import compose, invert
+
+from reference import enumerate_good_involutions_by_filter, involutions
 
 
 def rhos_of(good_involutions):
@@ -71,7 +73,7 @@ def test_enumerator_matches_plain_filter(small_family):
         for phi in symq.enumerate_automorphisms(g):
             q = symq.galex(g, phi)
             fast = rhos_of(symq.enumerate_good_involutions(q))
-            plain = rhos_of(symq.enumerate_good_involutions_by_filter(q))
+            plain = rhos_of(enumerate_good_involutions_by_filter(q))
             assert fast == plain, label
 
 
@@ -86,7 +88,7 @@ def test_conjugation_quandles_are_non_keis_with_good_involutions(m, count):
     )
     assert not symq.is_kei(q)
     found = rhos_of(symq.enumerate_good_involutions(q))
-    assert found == rhos_of(symq.enumerate_good_involutions_by_filter(q))
+    assert found == rhos_of(enumerate_good_involutions_by_filter(q))
     assert len(found) == count and inv in found
 
 
@@ -174,6 +176,13 @@ def test_different_orders_never_isomorphic(r3, q5):
     a = symq.symmetric_quandle(r3, (0, 1, 2))
     b = symq.SymmetricQuandle(quandle=q5, rho=(0, 1, 2, 3, 4))
     assert symq.symmetric_quandle_isomorphic(a, b) is None
+
+
+def test_symmetric_quandle_stores_the_validated_permutation(r3):
+    a = symq.symmetric_quandle(r3, ["0", "1", "2"])
+    assert a.rho == (0, 1, 2)
+    b = symq.symmetric_quandle(r3, [0, 1, 2])
+    assert symq.symmetric_quandle_isomorphic(a, b) is not None
 
 
 def test_symmetric_quandle_factory_rejects_bad_rho(q5):

@@ -115,6 +115,21 @@ def test_product_of_file_and_builtin(tmp_path):
     assert symq.is_abelian(g)
 
 
+def test_product_takes_identity_and_inverses_from_a_file_factor(tmp_path):
+    # Z2 stored with its identity at index 1, so the product's sits at 2
+    path = tmp_path / "z2_moved.txt"
+    write_table(path, [[1, 0], [0, 1]])
+    g = symq.build_group(f"product:file:{path},cyclic:2")
+    validated = symq.validate_group(g.product)
+    assert (g.identity, g.inverse) == (validated.identity, validated.inverse)
+    assert g.identity == 2
+    # with phi = id the quandle is trivial: every element is a fixed
+    # self-inverse one, and all 10 involutions of 4 points are good
+    result = symq.cross_check_sq(g, symq.identity_automorphism(g))
+    assert result.fixed_two_torsion == (0, 1, 2, 3)
+    assert len(result.good_involutions) == 10
+
+
 def test_build_cap_on_file_tables(tmp_path):
     # a table read from file is refused above the cap before validation,
     # whose associativity check is cubic in the order: this one is no group

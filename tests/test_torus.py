@@ -50,6 +50,13 @@ def test_orbit_of_zero_is_zero():
         assert bits_of(orbit) == [0]
 
 
+def test_orbit_refuses_a_vector_of_another_dimension():
+    with pytest.raises(ValueError, match="dimension 2 given for dimension 3"):
+        symq.transvection_orbit(3, symq.BitVector(2, 0b10))
+    with pytest.raises(ValueError, match="dimension 3 given for dimension 2"):
+        symq.transvection_orbit(2, symq.BitVector(3, 4))
+
+
 def test_orbit_n2_from_e1():
     # e1 = "10"; shears reach "11" and then "01"
     orbit = symq.transvection_orbit(2, symq.BitVector(2, 0b10))
