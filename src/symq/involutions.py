@@ -11,6 +11,12 @@ involutive bijections whose images meet the column condition and that
 commute with every column x -> x^y.  The brute-force classes come from a
 union-find over the oracle's list, joined by exhaustive isomorphism searches
 and by the conjugates of the roots not yet reached under each witness found.
+Two cuts keep those searches small without changing a class.  Pairs are
+searched only when an invariant key of (Q, rho) agrees, built from values
+at each element that any isomorphism carries along.  And since every inner
+permutation commutes with every good involution, composing an isomorphism
+with one is again an isomorphism, so a search maps 0 only to the smallest
+member of each inner orbit.
 """
 
 from __future__ import annotations
@@ -31,6 +37,7 @@ from .errors import (
 from .groups import (
     FiniteGroup,
     GroupAutomorphism,
+    OrbitPartition,
     _blocks,
     _iso_search,
     _join,
@@ -250,16 +257,36 @@ def _partition_by_isomorphism(
     q: FiniteQuandle,
     rhos: list[tuple[int, ...]],
     budget: SearchBudget,
+    orbits: OrbitPartition,
 ) -> tuple[tuple[int, ...], ...]:
     """Union-find partition of the involution list under symmetric isomorphism.
 
-    Only pairs with equal cycle type are searched (conjugate permutations
-    must share it).  A witness f joining root i to a representative is also
-    applied as a conjugation f . rho . f^-1 to the open roots: those past i
-    that are still their own root, one node each.  That links far more
-    pairs than the single search that produced it.  A root left open is
-    searched against every representative when the loop reaches it, and
-    the searches are exhaustive, so a failure against all of them is
+    `orbits` are the inner orbits of q.  Each rho gets five values at each
+    element x: the cycle type of x's column S_x (c -> c ^ x), whether rho
+    fixes x, whether rho(x) lies in x's inner orbit, the cycle type of
+    S_x . rho, and the number of y with x ^ y = rho(x).  An isomorphism f
+    with f . rho1 = rho2 . f maps columns to columns (f . S_x . f^-1 =
+    S_f(x)) and inner orbits to inner orbits, so it carries each value at x
+    to the same value at f(x).  Three cuts follow, each exact:
+
+    - Only representatives with the same key, the sorted multiset of the
+      values, are searched; the key also fixes rho's cycle type, an
+      involution's being its number of fixed points.
+    - Each search may map x only to the elements with x's values.
+    - Each search maps 0 only to the smallest member of an inner orbit.
+      Every inner permutation s is an automorphism of q that commutes with
+      every good involution (equivariance), so if f carries rho1 to rho2,
+      s . f does too, and s preserves the values, so 0's candidates are a
+      union of inner orbits.  An isomorphism exists exactly when one exists
+      that maps 0 to an orbit minimum (McKay and Piperno's pruning, with
+      Inn(Q) a symmetry group known in advance).
+
+    A witness f joining root i to a representative is also applied as a
+    conjugation f . rho . f^-1 to the open roots: those past i that are
+    still their own root, one node each.  That links far more pairs than
+    the single search that produced it.  A root left open is searched
+    against every representative with its key when the loop reaches it,
+    and the searches are exhaustive, so a failure against all of them is
     conclusive however much the witnesses linked.
     """
     m = len(rhos)
@@ -267,18 +294,38 @@ def _partition_by_isomorphism(
     parent = list(range(m))
     # the roots the main loop has not reached yet, pruned as they are joined
     open_roots = list(range(m))
-    # (index, cycle type) of each class representative, the smallest index of
-    # its class and so its union-find root
-    reps: list[tuple[int, tuple[int, ...]]] = []
+    # each element's inner orbit, named by its smallest member
+    orbit_of = {x: orbit[0] for orbit in orbits.orbits for x in orbit}
+    op = q.op
+    columns = tuple(zip(*op))
+    column_types = [perms.cycle_type(column) for column in columns]
+    # (index, values) of each class representative by key; the index is the
+    # smallest of its class and so its union-find root
+    reps: dict[tuple, list[tuple[int, list[tuple]]]] = {}
     for i in range(m):
         if parent[i] != i:
             continue
-        kind = perms.cycle_type(rhos[i])
-        for r, r_kind in reps:
-            if r_kind != kind:
-                continue
+        rho = rhos[i]
+        values = [
+            (
+                column_types[x],
+                rho[x] == x,
+                orbit_of[rho[x]] == orbit_of[x],
+                perms.cycle_type([column[r] for r in rho]),
+                op[x].count(rho[x]),
+            )
+            for x, column in enumerate(columns)
+        ]
+        having: dict[tuple, list[int]] = {}
+        for v, value in enumerate(values):
+            having.setdefault(value, []).append(v)
+        bucket = reps.setdefault(tuple(sorted(values)), [])
+        for r, r_values in bucket:
+            candidates = [having[value] for value in r_values]
+            candidates[0] = [v for v in candidates[0] if orbit_of[v] == v]
             found = _iso_search(
-                q.op, q.op, find_all=False, budget=budget, pairs=[(rhos[r], rhos[i])]
+                op, op, find_all=False, budget=budget,
+                pairs=[(rhos[r], rho)], candidates=candidates,
             )
             if not found:
                 continue
@@ -297,7 +344,7 @@ def _partition_by_isomorphism(
                 _join(parent, j, k)
             break
         else:
-            reps.append((i, kind))
+            bucket.append((i, values))
     return _blocks(parent)
 
 
@@ -403,7 +450,7 @@ def _analyze(
                 start = budget.used
                 rhos = _good_involutions(q, budget)
                 if classify:
-                    brute = _partition_by_isomorphism(q, rhos, budget)
+                    brute = _partition_by_isomorphism(q, rhos, budget, orbits)
                 if reuse is not None:
                     reuse[q.op] = rhos, brute, budget.used - start
             else:

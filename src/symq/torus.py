@@ -78,10 +78,6 @@ def two_torsion_set(n: int) -> list[BitVector]:
     return [BitVector(n, bits) for bits in range(1 << n)]
 
 
-def all_transvections(n: int) -> list[Transvection]:
-    return [Transvection(i, j) for i in range(n) for j in range(n) if i != j]
-
-
 def adjacent_transvections(n: int) -> list[Transvection]:
     """E_{i,i+1} and E_{i+1,i}: 2(n-1) shears that generate SL_n(F_2)."""
     return [Transvection(i, j) for k in range(n - 1) for i, j in ((k, k + 1), (k + 1, k))]

@@ -1,8 +1,10 @@
-"""Plain-filter reference for the good-involution oracle, used only by tests.
+"""References that only tests use.
 
-It shares nothing with the package's search: it walks every involutive
-permutation and keeps those that pass `check_good_involution`, the
-definition read condition by condition.
+The plain filter for the good-involution oracle shares nothing with the
+package's search: it walks every involutive permutation and keeps those that
+pass `check_good_involution`, the definition read condition by condition.
+The automorphism-orbit classes check the isomorphism partition against the
+group action that defines it, without its invariants or symmetry cuts.
 """
 
 from __future__ import annotations
@@ -10,6 +12,8 @@ from __future__ import annotations
 from collections.abc import Iterator
 
 import symq
+from symq.perms import compose, invert
+from symq.torus import Transvection
 
 # The plain filter walks every involutive permutation; past this order the
 # count explodes and the search-based enumerator must be used.
@@ -60,3 +64,31 @@ def enumerate_good_involutions_by_filter(
         for p in involutions(q.order)
         if symq.check_good_involution(q, p) is None
     ]
+
+
+def automorphism_orbit_classes(
+    q: symq.FiniteQuandle, rhos: list[tuple[int, ...]]
+) -> tuple[tuple[int, ...], ...]:
+    """Orbits of Aut(q) acting on `rhos` by f . rho . f^-1, as index tuples.
+
+    Two good involutions give isomorphic symmetric quandles exactly when
+    an automorphism of q conjugates one onto the other, so these are the
+    brute-force classes, ordered by smallest member.
+    """
+    index = {p: i for i, p in enumerate(rhos)}
+    maps = [(f.perm, invert(f.perm)) for f in symq.quandle_automorphisms(q)]
+    classes = []
+    seen = set()
+    for i, rho in enumerate(rhos):
+        if i in seen:
+            continue
+        # Aut(q) is a group, so one pass over it is the whole orbit
+        orbit = {index[compose(compose(f, rho), f_inv)] for f, f_inv in maps}
+        seen |= orbit
+        classes.append(tuple(sorted(orbit)))
+    return tuple(classes)
+
+
+def all_transvections(n: int) -> list[Transvection]:
+    """Every shear E_ij of F_2^n, i != j."""
+    return [Transvection(i, j) for i in range(n) for j in range(n) if i != j]

@@ -9,7 +9,11 @@ import symq
 from symq import errors
 from symq.perms import compose, invert
 
-from reference import enumerate_good_involutions_by_filter, involutions
+from reference import (
+    automorphism_orbit_classes,
+    enumerate_good_involutions_by_filter,
+    involutions,
+)
 
 
 def rhos_of(good_involutions):
@@ -257,7 +261,64 @@ def test_partition_raises_on_a_missing_conjugate(klein):
     rhos = rhos_of(symq.enumerate_good_involutions(q))
     assert rhos[-1] == (3, 2, 1, 0)
     with pytest.raises(errors.InternalConsistencyError, match="missing"):
-        _partition_by_isomorphism(q, rhos[:-1], SearchBudget())
+        _partition_by_isomorphism(q, rhos[:-1], SearchBudget(), symq.inner_orbits(q))
+
+
+def test_partition_matches_automorphism_orbits():
+    # the brute-force classes are the orbits of Aut(q) acting on the good
+    # involutions by conjugation, on every kei of order <= 6 (the trivial
+    # quandles among them) and on every connected kei of A4
+    quandles = {}
+    for n in range(1, 7):
+        trivial = symq.validate_quandle([[x] * n for x in range(n)])
+        quandles[trivial.op] = trivial
+    for entry in symq.catalog_entries(6):
+        q = symq.galex(entry.group, entry.aut)
+        if symq.is_kei(q):
+            quandles.setdefault(q.op, q)
+    a4 = symq.alternating_group(4)
+    connected = 0
+    for phi in symq.enumerate_automorphisms(a4):
+        q = symq.galex(a4, phi)
+        if symq.is_kei(q) and symq.is_connected(q):
+            quandles.setdefault(q.op, q)
+            connected += 1
+    assert (len(quandles), connected) == (24, 6)
+    for q in quandles.values():
+        result = symq.classify_sq_bruteforce(q)
+        rhos = list(result.good_involutions)
+        assert result.classes_bruteforce == automorphism_orbit_classes(q, rhos)
+
+
+@pytest.mark.parametrize("index, classes", [(3, 2), (4, 3)])
+def test_partition_matches_automorphism_orbits_a5(a5_connected_keis, index, classes):
+    # one connected kei of A5 from each of its two kinds: the twist is
+    # conjugation by a transposition (10 keis, 2 classes) or by a double
+    # transposition (15 keis, 3 classes).  Listing Aut(q) for all 25 takes
+    # about 27 s; test_cross_check_every_a5_connected_kei checks all 25
+    # partitions against the theorem route instead
+    q = a5_connected_keis[index][1]
+    result = symq.classify_sq_bruteforce(q)
+    assert result.bruteforce_count == classes
+    rhos = list(result.good_involutions)
+    assert result.classes_bruteforce == automorphism_orbit_classes(q, rhos)
+
+
+def test_inner_orbits_run_once_per_analysis(monkeypatch):
+    # the partition takes the orbits the analysis computed for its facts
+    from symq import involutions as module
+
+    calls = []
+
+    def counted(q):
+        calls.append(q)
+        return symq.inner_orbits(q)
+
+    monkeypatch.setattr(module, "inner_orbits", counted)
+    g = symq.alternating_group(4)
+    phi = symq.validate_automorphism(g, [0, 2, 1, 3, 5, 4, 9, 10, 11, 6, 7, 8])
+    result = symq.cross_check_sq(g, phi)
+    assert result.agreement is True and len(calls) == 1
 
 
 def test_oracle_node_total_over_catalog_family_9():

@@ -218,7 +218,7 @@ def run_with_exact_budget(nodes, call):
     return call(nodes)
 
 
-@pytest.mark.parametrize("index, classes, nodes", [(0, 2, 135), (4, 3, 33_031)])
+@pytest.mark.parametrize("index, classes, nodes", [(0, 2, 135), (4, 3, 31)])
 def test_bruteforce_node_count_a5(a5_connected_keis, index, classes, nodes):
     q = a5_connected_keis[index][1]
     result = run_with_exact_budget(
@@ -233,6 +233,24 @@ def test_bruteforce_node_count_trivial_order_8():
         3_023, lambda b: symq.classify_sq_bruteforce(q, budget=b)
     )
     assert (len(result.good_involutions), result.bruteforce_count) == (764, 5)
+
+
+def test_bruteforce_node_count_disconnected_s4_kei():
+    # the twist is conjugation by the double transposition (1 0 3 2): a
+    # disconnected kei with six inner orbits of four, 8,000 good involutions
+    # and 253 classes.  Pairwise searches without the partition's invariants
+    # and inner-orbit cut do not finish within the default 10^7 nodes
+    g = symq.symmetric_group(4)
+    c = sorted(permutations(range(4))).index((1, 0, 3, 2))
+    phi = symq.validate_automorphism(
+        g, [g.product[g.product[c][x]][c] for x in range(g.order)]
+    )
+    q = symq.galex(g, phi)
+    assert symq.is_kei(q) and len(symq.inner_orbits(q).orbits) == 6
+    result = run_with_exact_budget(
+        30_567, lambda b: symq.classify_sq_bruteforce(q, budget=b)
+    )
+    assert (len(result.good_involutions), result.bruteforce_count) == (8_000, 253)
 
 
 def test_isomorphisms_node_count_a4_kei():

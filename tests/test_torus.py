@@ -16,8 +16,9 @@ from symq.torus import (
     _orbit_bitmap,
     _shear_moves,
     adjacent_transvections,
-    all_transvections,
 )
+
+from reference import all_transvections
 
 
 def bits_of(vectors):
