@@ -11,12 +11,13 @@ involutive bijections whose images meet the column condition and that
 commute with every column x -> x^y.  The brute-force classes come from a
 union-find over the oracle's list, joined by exhaustive isomorphism searches
 and by the conjugates of the roots not yet reached under each witness found.
-Two cuts keep those searches small without changing a class.  Pairs are
-searched only when an invariant key of (Q, rho) agrees, built from values
-at each element that any isomorphism carries along.  And since every inner
-permutation commutes with every good involution, composing an isomorphism
-with one is again an isomorphism, so a search maps 0 only to the smallest
-member of each inner orbit.
+Exact cuts keep those searches small without changing a class.  Each
+element gets values under rho that any isomorphism carries along, so pairs
+are searched only when the multisets of values agree, and an element is
+mapped only to elements with its values.  And since every inner permutation
+commutes with every good involution, composing an isomorphism with one is
+again an isomorphism, so a search maps 0 only to the smallest member of
+each inner orbit.
 """
 
 from __future__ import annotations

@@ -295,7 +295,7 @@ def test_partition_matches_automorphism_orbits_a5(a5_connected_keis, index, clas
     # one connected kei of A5 from each of its two kinds: the twist is
     # conjugation by a transposition (10 keis, 2 classes) or by a double
     # transposition (15 keis, 3 classes).  Listing Aut(q) for all 25 takes
-    # about 27 s; test_cross_check_every_a5_connected_kei checks all 25
+    # tens of seconds; test_cross_check_every_a5_connected_kei checks all 25
     # partitions against the theorem route instead
     q = a5_connected_keis[index][1]
     result = symq.classify_sq_bruteforce(q)
