@@ -136,7 +136,9 @@ def run_catalog(
     Entries with the same quandle table share one oracle run and one
     partition, and each entry is charged their nodes as if it had run them.
     Their reports hold one `good_involutions` list object between them, so
-    reports are read-only: change one and the others change with it.
+    reports are read-only: change one and the others change with it.  Those
+    shared objects are what make the stream cheap: `emit_reports` renders
+    each list object once, with the bytes unchanged.
     """
     resolved = resolve_budget(budget)
     reports = []

@@ -53,8 +53,12 @@ def _analysis_report(
     }
 
 
+def _json_value(value) -> str:
+    return json.dumps(value, sort_keys=True, separators=(",", ":"))
+
+
 def to_json(report: dict) -> str:
-    return json.dumps(report, sort_keys=True, separators=(",", ":")) + "\n"
+    return _json_value(report) + "\n"
 
 
 def _render_value(value) -> str:
@@ -70,17 +74,53 @@ def to_text(report: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
+# per format: report renderer, value renderer, the rendering of a null
+# good_involutions, and the text between two reports of a stream
+_FORMATS = {
+    "json": (to_json, _json_value, '"good_involutions":null', ""),
+    "text": (to_text, _render_value, "good_involutions: null", "\n"),
+}
+
+
+def _format(fmt: str) -> tuple:
+    try:
+        return _FORMATS[fmt]
+    except KeyError:
+        raise ValueError(f"unknown format {fmt!r}") from None
+
+
 def emit_report(report: dict, fmt: str = "json") -> str:
     """Render one report; permutation lists appear one per line in text mode."""
-    if fmt == "json":
-        return to_json(report)
-    if fmt == "text":
-        return to_text(report)
-    raise ValueError(f"unknown format {fmt!r}")
+    return _format(fmt)[0](report)
 
 
 def emit_reports(reports: list[dict], fmt: str = "json") -> str:
-    """Render a report stream: JSON lines, or text blocks split by blank lines."""
-    if fmt not in ("json", "text"):  # an empty stream refuses a bad format too
-        raise ValueError(f"unknown format {fmt!r}")
-    return ("\n" if fmt == "text" else "").join(emit_report(r, fmt) for r in reports)
+    """Render a report stream: JSON lines, or text blocks split by blank lines.
+
+    The bytes are those of `emit_report` on each report in turn, but each
+    `good_involutions` list object is rendered once, however many reports
+    hold it: a report is rendered with that field null, and the list's
+    rendering is spliced into the first null slot of the field.  That slot
+    is the field's own, since every key that sorts before it in a report
+    (agreement, automorphism, elapsed_ms, fixed_two_torsion) holds no
+    string.  `run_catalog` gives equal lists one object, so each distinct
+    list of a sweep is rendered once.
+    """
+    render, render_value, slot, sep = _format(fmt)  # an empty stream checks fmt too
+    cut = len(slot) - len("null")
+    rendered = {}  # id of a list -> its rendering; `reports` keeps each list alive
+    pieces = []
+    for i, report in enumerate(reports):
+        if i:
+            pieces.append(sep)
+        rhos = report.get("good_involutions")
+        if not isinstance(rhos, list):
+            pieces.append(render(report))
+            continue
+        value = rendered.get(id(rhos))
+        if value is None:
+            value = rendered[id(rhos)] = render_value(rhos)
+        text = render({**report, "good_involutions": None})
+        at = text.index(slot)
+        pieces += (text[: at + cut], value, text[at + len(slot):])
+    return "".join(pieces)

@@ -1,3 +1,5 @@
+import hashlib
+import re
 import runpy
 import sys
 from pathlib import Path
@@ -81,15 +83,18 @@ def test_run_catalog_budget_notes_recorded():
                       "product:cyclic:2,cyclic:2"}
 
 
-def test_run_catalog_script_counts_budget_placeholders(monkeypatch, capsys):
+def test_run_catalog_script_counts_budget_placeholders(monkeypatch, capsys, tmp_path):
     # under a one-node budget every group of order 2 to 4 runs out while
     # listing its automorphisms and gets a placeholder report whose is_kei
-    # is null; the summary script counts it as neither kind of kei
+    # is null; the summary script counts it as neither kind of kei, writes
+    # its report and times the sweep and the writing apart
     script = Path(__file__).resolve().parents[1] / "scripts" / "run_catalog.py"
     main = runpy.run_path(str(script))["main"]
+    out = tmp_path / "c4.jsonl"
     monkeypatch.setenv("SYMQ_BUDGET", "1")
-    monkeypatch.setattr(sys, "argv", ["run_catalog.py", "4"])
+    monkeypatch.setattr(sys, "argv", ["run_catalog.py", "4", "--out", str(out)])
     assert main() == 0
+    assert len(out.read_text(encoding="ascii").splitlines()) == 5
     rows = capsys.readouterr().out.splitlines()
     assert [row.split() for row in rows[1:5]] == [
         ["1", "1", "1", "1", "0"],
@@ -97,7 +102,11 @@ def test_run_catalog_script_counts_budget_placeholders(monkeypatch, capsys):
         ["3", "1", "0", "0", "0"],
         ["4", "2", "0", "0", "0"],
     ]
-    assert rows[-1].startswith("5 entries, 0 hypothesis-met, 0 agreement failures, 5 budget notes")
+    assert re.fullmatch(
+        r"5 entries, 0 hypothesis-met, 0 agreement failures, 5 budget notes, "
+        r"sweep \d+\.\d\ds, emit \d+\.\d\ds",
+        rows[-1],
+    )
 
 
 @pytest.mark.parametrize("max_order, budget", [(9, None), (8, 3_023), (8, 3_022)])
@@ -131,3 +140,16 @@ def test_run_catalog_reports_share_equal_involution_lists():
     ]
     assert len(trivial) == 5 and len(trivial[0]) == 764
     assert all(rhos is trivial[0] for rhos in trivial)
+
+
+@pytest.mark.parametrize("fmt, size, digest", [
+    ("json", 318_709, "5464c9f678b60fc23c49769a0cdbc546bef2913e2b0d995aed6c2e4cfaac559a"),
+    ("text", 316_320, "b6dac814ba266dc8c8cd09f5309d2ec52d9c802ad53977b9c4cad9522bf2cfd5"),
+])
+def test_catalog_stream_digest_order_9(fmt, size, digest):
+    # pinned from the rendering of one report at a time; the five phi = id
+    # entries of order 8 share one list of 764 involutions, rendered once
+    reports, _ = symq.run_catalog(9)
+    stream = symq.emit_reports(reports, fmt).encode("ascii")
+    assert len(stream) == size
+    assert hashlib.sha256(stream).hexdigest() == digest

@@ -4,7 +4,7 @@ import pytest
 
 import symq
 from symq.cli import main
-from symq.report import _analysis_report, emit_report, emit_reports, to_json
+from symq.report import _analysis_report, emit_report, emit_reports, to_json, to_text
 from symq.tableio import write_table
 
 
@@ -381,10 +381,45 @@ def test_every_quandle_report_has_the_fixed_keys(tmp_path, capsys):
 
 
 def test_catalog_stream_round_trips_byte_identical(capsys):
-    code, out, _ = run(capsys, "catalog", "--max-order", "4")
-    assert code == 0
-    for line in out.splitlines():
-        assert to_json(json.loads(line)) == line + "\n"
+    for argv in [
+        ("--max-order", "4"),
+        # the five phi = id entries of order 8 share one involution list
+        ("--max-order", "8"),
+        # budget placeholders, whose good_involutions are null
+        ("--max-order", "4", "--budget", "10"),
+    ]:
+        code, out, _ = run(capsys, "catalog", *argv)
+        assert code == 0
+        for line in out.splitlines():
+            assert to_json(json.loads(line)) == line + "\n"
+
+
+@pytest.mark.parametrize("fmt, render, sep", [("json", to_json, ""), ("text", to_text, "\n")])
+def test_emit_reports_equals_one_report_at_a_time(fmt, render, sep):
+    # emit_reports renders each involution list object once and splices it
+    # into the first null slot of good_involutions in each report's
+    # rendering; only these keys sort before it, and none holds a string
+    assert sorted(REPORT_KEYS)[:5] == [
+        "agreement", "automorphism", "elapsed_ms", "fixed_two_torsion",
+        "good_involutions",
+    ]
+    real, _ = symq.run_catalog(3)
+    shared = [[0, 1, 2], [0, 2, 1]]
+    slots = '"good_involutions":null good_involutions: null'
+    placeholders, _ = symq.run_catalog(4, budget=10)
+    assert any(r["good_involutions"] is None for r in placeholders)
+    streams = [
+        [{**real[0], "good_involutions": shared}, {**real[1], "good_involutions": shared}],
+        [{**real[0], "good_involutions": shared},
+         {**real[1], "good_involutions": [list(row) for row in shared]}],
+        placeholders,
+        [{"order": 1}, {**real[2], "good_involutions": []}],
+        [{**real[2], "group_spec": slots, "notes": slots.split(" ", 1),
+          "good_involutions": shared}],
+        [],
+    ]
+    for reports in streams:
+        assert emit_reports(reports, fmt) == sep.join(render(r) for r in reports)
 
 
 def test_unknown_format_rejected():
