@@ -10,6 +10,7 @@ are immutable after construction and safe to share between threads.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from itertools import permutations
 from typing import Sequence
@@ -338,12 +339,27 @@ def _iso_search(
     fixes x.  Variables are assigned in ascending element order with
     ascending candidate values, so results come out in lexicographic order
     and a self-search always reports the identity first.  One budget node
-    is charged per candidate tried.  With tables, each assignment a -> b
-    implies f(a * c) = b * f(c) and f(c * a) = f(c) * b for every element
-    c that already has an image; an implied pair whose left side already
-    has an image is checked in place, and only pairs for unassigned
-    elements are queued.  The closure is the same in any processing order,
-    so the search tree does not depend on it.  Passing the same table
+    is charged per candidate tried; search recurses once per branching
+    level, so the recursion limit is raised by n for the call.
+
+    The tables are both groups or both quandles.  An element whose image
+    comes from the branch, a pair or the swap is a generator; one whose
+    image comes from an edge t -> t * g, for a mapped t and generator g, is
+    not.  Each assignment a -> b implies f(a * g) = b * f(g) for every
+    generator g, and when a is a generator, f(c * a) = f(c) * b for every
+    mapped c, a included.  An implied pair whose left side already has an
+    image is checked in place; the others are mapped in turn.  The mapped
+    elements are then those the generators generate, as a quandle or group:
+    each is a left-normed product g0 * g1 * ... * gk of generators (a
+    quandle's x *^-1 g is x * g * ... * g, as g's column has finite order;
+    a group's products regroup by associativity).  Induction on that form of
+    y, with right self-distributivity, or associativity, in both tables,
+    turns f(t * g) = f(t) * f(g) on every edge into f(x * y) = f(x) * f(y)
+    for all mapped x and y.  So each assignment succeeds exactly when
+    checking every pair of mapped elements would let it, and the tree is
+    the same, at about 2nk checks per completed map for k generators
+    instead of 2n^2.  The closure is the same in any processing order, so
+    the search tree does not depend on it.  Passing the same table
     object twice marks a self-search, whose column data is computed once.
     """
     if op1 is None:
@@ -375,10 +391,11 @@ def _iso_search(
     img = [-1] * n
     used = [False] * n
     done: list[int] = []  # the elements with an image, in assignment order
+    gens: list[int] = []  # the mapped generators, in assignment order
     results: list[tuple[int, ...]] = []
 
     def assign(x: int, v: int) -> bool:
-        stack = [(x, v)]
+        stack = [(x, v)]  # images from the branch, a pair or the swap
         while stack:
             a, b = stack.pop()
             if img[a] >= 0:
@@ -396,26 +413,50 @@ def _iso_search(
                 stack.append((p1[a], p2[b]))
             if op1 is None:
                 continue
-            row1, col1, row2, col2 = op1[a], cols1[a], op2[b], cols2[b]
-            # the implied pairs (a * c, b * f(c)) and (c * a, f(c) * b)
+            # a is a generator: check the edge c -> c * a out of every mapped
+            # c, a included, then the edges t -> t * g out of a and out of
+            # each element an edge maps
+            gens.append(a)
+            edges = []  # images from an edge, to be checked
+            col1, col2 = cols1[a], cols2[b]
             for c in done:
-                ic = img[c]
-                t, u = row1[c], row2[ic]
+                t, u = col1[c], col2[img[c]]
                 it = img[t]
                 if it < 0:
                     if used[u]:
                         return False
-                    stack.append((t, u))
+                    edges.append((t, u))
                 elif it != u:
                     return False
-                t, u = col1[c], col2[ic]
-                it = img[t]
-                if it < 0:
-                    if used[u]:
+            while True:
+                row1, row2 = op1[a], op2[b]
+                for g in gens:
+                    t, u = row1[g], row2[img[g]]
+                    it = img[t]
+                    if it < 0:
+                        if used[u]:
+                            return False
+                        edges.append((t, u))
+                    elif it != u:
                         return False
-                    stack.append((t, u))
-                elif it != u:
+                # the next edge whose left side has no image yet
+                while edges:
+                    a, b = edges.pop()
+                    if img[a] < 0:
+                        break
+                    if img[a] != b:
+                        return False
+                else:
+                    break
+                if used[b] or b not in cand_sets[a]:
                     return False
+                img[a] = b
+                used[b] = True
+                done.append(a)
+                if involutive:
+                    stack.append((b, a))
+                for p1, p2 in pairs:
+                    stack.append((p1[a], p2[b]))
         return True
 
     def undo(mark: int) -> None:
@@ -423,6 +464,9 @@ def _iso_search(
             a = done.pop()
             used[img[a]] = False
             img[a] = -1
+        # the generators that lost their image are the last ones
+        while gens and img[gens[-1]] < 0:
+            gens.pop()
 
     def search(x: int) -> bool:
         while x < n and img[x] >= 0:
@@ -440,9 +484,13 @@ def _iso_search(
             undo(mark)
         return False
 
+    # search recurses once per branching level, at most n deep
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(limit + n)
     try:
         search(0)
     finally:
+        sys.setrecursionlimit(limit)
         # search reaches itself through its closure; clearing the name breaks
         # that cycle, so the search state is freed on return instead of
         # piling up until a full garbage collection

@@ -5,15 +5,23 @@ package's search: it walks every involutive permutation and keeps those that
 pass `check_good_involution`, the definition read condition by condition.
 The automorphism-orbit classes check the isomorphism partition against the
 group action that defines it, without its invariants or symmetry cuts.
+PSL(2,7) is built here, from its Moebius maps, because no group spec names
+it.  `run_with_exact_budget` pins the nodes a search spends.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterator
+from collections.abc import Callable, Iterator
+from typing import TypeVar
+
+import pytest
 
 import symq
+from symq import errors
 from symq.perms import compose, invert
 from symq.torus import Transvection
+
+T = TypeVar("T")
 
 # The plain filter walks every involutive permutation; past this order the
 # count explodes and the search-based enumerator must be used.
@@ -92,3 +100,44 @@ def automorphism_orbit_classes(
 def all_transvections(n: int) -> list[Transvection]:
     """Every shear E_ij of F_2^n, i != j."""
     return [Transvection(i, j) for i in range(n) for j in range(n) if i != j]
+
+
+def run_with_exact_budget(nodes: int, call: Callable[[int], T]) -> T:
+    """call(nodes), after checking that one node fewer runs out."""
+    with pytest.raises(errors.SearchBudgetExceeded):
+        call(nodes - 1)
+    return call(nodes)
+
+
+def psl27() -> symq.FiniteGroup:
+    """PSL(2,7) as the closure of x+1, 2x and -1/x acting on P^1(F_7).
+
+    A map is the tuple of images of 0..6 and of infinity, written 7.  The
+    168 maps are sorted, so the identity has index 0, and the table
+    multiplies by composition.
+    """
+    inf = 7
+
+    def mobius(f: Callable[[int], int]) -> tuple[int, ...]:
+        return tuple(f(x) for x in range(8))
+
+    generators = [
+        mobius(lambda x: inf if x == inf else (x + 1) % 7),
+        mobius(lambda x: inf if x == inf else 2 * x % 7),
+        # -1/x: 0 and infinity swap, and 1/x = x^5 in F_7
+        mobius(lambda x: 0 if x == inf else inf if x == 0 else -pow(x, 5, 7) % 7),
+    ]
+    found = {tuple(range(8))}
+    frontier = list(found)
+    while frontier:
+        p = frontier.pop()
+        for g in generators:
+            pg = compose(p, g)
+            if pg not in found:
+                found.add(pg)
+                frontier.append(pg)
+    elements = sorted(found)
+    index = {p: i for i, p in enumerate(elements)}
+    return symq.validate_group(
+        [[index[compose(p, q)] for q in elements] for p in elements]
+    )

@@ -6,6 +6,11 @@ from hypothesis import strategies as st
 
 import symq
 from symq import errors
+from symq.budget import SearchBudget
+from symq.groups import _iso_search
+from symq.perms import compose
+
+from reference import psl27, run_with_exact_budget
 
 # Latin square with identity 0 and two-sided inverses that is not associative.
 NONASSOC_LOOP = [
@@ -311,12 +316,53 @@ def test_centralizer_matches_direct_filter_a5():
         assert got == _centralizer_by_filter(reference, perm)
 
 
-def test_automorphism_node_count_a5():
-    # the nodes the search spends on Aut(A5), which fix its budget outcomes
-    g = symq.alternating_group(5)
-    assert len(symq.enumerate_automorphisms(g, budget=1_761)) == 120
-    with pytest.raises(errors.SearchBudgetExceeded):
-        symq.enumerate_automorphisms(g, budget=1_760)
+def _all_centralizers(group, budget):
+    """The centralizer of every automorphism of group, under one budget."""
+    table = group.product
+    shared = SearchBudget(budget)
+    return [
+        psi
+        for phi in symq.enumerate_automorphisms(group)
+        for psi in _iso_search(
+            table, table, find_all=True, budget=shared, pairs=[(phi.perm, phi.perm)]
+        )
+    ]
+
+
+@pytest.mark.parametrize(
+    "build, search, maps, nodes",
+    [
+        (lambda: symq.alternating_group(5), symq.enumerate_automorphisms, 120, 1_761),
+        (lambda: symq.symmetric_group(4), symq.enumerate_automorphisms, 24, 226),
+        (
+            lambda: symq.direct_product([symq.cyclic_group(2)] * 3),
+            symq.enumerate_automorphisms,
+            168,
+            218,
+        ),
+        (lambda: symq.alternating_group(4), _all_centralizers, 120, 248),
+        (lambda: symq.alternating_group(5), _all_centralizers, 840, 7_674),
+    ],
+    ids=["aut_a5", "aut_s4", "aut_c2_cubed", "centralizers_a4", "centralizers_a5"],
+)
+def test_automorphism_node_count(build, search, maps, nodes):
+    # the nodes the search spends, which fix its budget outcomes
+    group = build()
+    found = run_with_exact_budget(nodes, lambda b: search(group, budget=b))
+    assert len(found) == maps
+
+
+def test_psl27_automorphisms():
+    # |Aut(PSL(2,7))| = |PGL(2,7)| = 336; its involutions are the 21 inner
+    # ones and the 28 of PGL(2,7) outside PSL(2,7)
+    g = psl27()
+    auts = run_with_exact_budget(
+        10_137, lambda b: symq.enumerate_automorphisms(g, budget=b)
+    )
+    assert len(auts) == 336
+    identity = tuple(range(g.order))
+    involutive = [a for a in auts if a.perm != identity and compose(a.perm, a.perm) == identity]
+    assert len(involutive) == 49
 
 
 @pytest.mark.parametrize(

@@ -101,6 +101,16 @@ def test_enumerator_budget(r4):
         symq.enumerate_good_involutions(r4, budget=1)
 
 
+def test_enumerator_budget_near_build_cap():
+    # the search recurses once per branching level: on the trivial quandle
+    # of order 1,000 the first involution, the identity, is 1,000 levels
+    # deep, and the budget must be what stops the search
+    rows = tuple((x,) * 1_000 for x in range(1_000))
+    q = symq.FiniteQuandle(order=1_000, op=rows, inv_op=rows)
+    with pytest.raises(errors.SearchBudgetExceeded):
+        symq.enumerate_good_involutions(q, budget=3_000)
+
+
 def test_exists_iff_kei(z4, z5, doubling_aut):
     assert symq.exists_good_involution_galex(z4, symq.inversion_automorphism(z4))
     assert not symq.exists_good_involution_galex(z5, doubling_aut)

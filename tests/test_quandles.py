@@ -1,3 +1,4 @@
+import random
 from itertools import permutations
 
 import pytest
@@ -10,6 +11,8 @@ from symq.budget import SearchBudget
 from symq.perms import compose, invert
 from symq.groups import _iso_search
 
+from reference import run_with_exact_budget
+
 
 def r3_table():
     return [[(-x + 2 * y) % 3 for y in range(3)] for x in range(3)]
@@ -17,6 +20,18 @@ def r3_table():
 
 def trivial_table(n):
     return [[x] * n for x in range(n)]
+
+
+def maps_by_filter(q1, q2):
+    """Every permutation that `quandle_map` accepts from q1 to q2, ascending."""
+    found = []
+    for p in permutations(range(q1.order)):
+        try:
+            symq.quandle_map(q1, q2, p)
+        except errors.NotOpPreserving:
+            continue
+        found.append(p)
+    return found
 
 
 # -- validate_quandle -------------------------------------------------------------
@@ -186,13 +201,7 @@ def test_rho_search_matches_filter_small_keis():
         if not symq.is_kei(q) or q.op in seen:
             continue
         seen.add(q.op)
-        auts = []
-        for p in permutations(range(q.order)):
-            try:
-                symq.quandle_map(q, q, p)
-            except errors.NotOpPreserving:
-                continue
-            auts.append(p)
+        auts = maps_by_filter(q, q)
         rhos = [g.rho for g in symq.enumerate_good_involutions(q)]
         for a in rhos:
             # f . a = b . f exactly when b = f . a . f^-1
@@ -207,15 +216,32 @@ def test_rho_search_matches_filter_small_keis():
     assert len(seen) == 18
 
 
+def test_isomorphisms_across_tables_match_filter():
+    # every quandle table of the order <= 5 catalog, kei or not, and every
+    # trivial quandle of order <= 5, against a random relabelling of itself:
+    # the search crosses two tables and lists exactly the maps the filter
+    # accepts, in lexicographic order
+    tables = {symq.galex(entry.group, entry.aut).op for entry in symq.catalog_entries(5)}
+    tables |= {tuple(map(tuple, trivial_table(n))) for n in range(1, 6)}
+    rng = random.Random(14)
+    for op in sorted(tables):
+        q = symq.validate_quandle(op)
+        n = q.order
+        s = list(range(n))
+        rng.shuffle(s)
+        # x * y = z in q is s[x] * s[y] = s[z] in the relabelled table
+        t = invert(s)
+        relabeled = symq.validate_quandle(
+            [[s[op[t[x]][t[y]]] for y in range(n)] for x in range(n)]
+        )
+        found = [m.perm for m in symq.quandle_isomorphisms(q, relabeled)]
+        assert found == maps_by_filter(q, relabeled), op
+        assert tuple(s) in found
+    assert len(tables) == 14
+
+
 # Nodes each search needs.  The search tree fixes them, and with them every
 # budget outcome.
-
-
-def run_with_exact_budget(nodes, call):
-    """call(nodes), after checking that one node fewer runs out."""
-    with pytest.raises(errors.SearchBudgetExceeded):
-        call(nodes - 1)
-    return call(nodes)
 
 
 @pytest.mark.parametrize("index, classes, nodes", [(0, 2, 135), (4, 3, 31)])
