@@ -344,23 +344,24 @@ def _iso_search(
 
     The tables are both groups or both quandles.  An element whose image
     comes from the branch, a pair or the swap is a generator; one whose
-    image comes from an edge t -> t * g, for a mapped t and generator g, is
-    not.  Each assignment a -> b implies f(a * g) = b * f(g) for every
-    generator g, and when a is a generator, f(c * a) = f(c) * b for every
-    mapped c, a included.  An implied pair whose left side already has an
-    image is checked in place; the others are mapped in turn.  The mapped
-    elements are then those the generators generate, as a quandle or group:
-    each is a left-normed product g0 * g1 * ... * gk of generators (a
-    quandle's x *^-1 g is x * g * ... * g, as g's column has finite order;
-    a group's products regroup by associativity).  Induction on that form of
-    y, with right self-distributivity, or associativity, in both tables,
-    turns f(t * g) = f(t) * f(g) on every edge into f(x * y) = f(x) * f(y)
-    for all mapped x and y.  So each assignment succeeds exactly when
-    checking every pair of mapped elements would let it, and the tree is
-    the same, at about 2nk checks per completed map for k generators
-    instead of 2n^2.  The closure is the same in any processing order, so
-    the search tree does not depend on it.  Passing the same table
-    object twice marks a self-search, whose column data is computed once.
+    image comes from an edge t -> t * g, for a mapped t and a generator g,
+    is not.  A generator's assignment a -> b implies f(c * a) = f(c) * b
+    and f(a * c) = b * f(c) for every mapped c, a included; any other
+    implies f(a * g) = b * f(g) for every generator g.  An implied pair
+    whose left side already has an image is checked in place; the others
+    are mapped in turn.  The mapped elements are then those the generators
+    generate, as a quandle or a group: each is a left-normed product
+    g0 * g1 * ... * gk of generators (a quandle's x *^-1 g is
+    x * g * ... * g, as g's column has finite order; a group's products
+    regroup by associativity).  Induction on that form of y, with right
+    self-distributivity, or associativity, in both tables, turns
+    f(t * g) = f(t) * f(g) on every edge into f(x * y) = f(x) * f(y) for
+    all mapped x and y.  So each assignment succeeds exactly when checking
+    every pair of mapped elements would let it, and the tree is the same,
+    at O(nk) checks per completed map for k generators instead of O(n^2).
+    The closure is the same in any processing order, so the search tree
+    does not depend on it.  Passing the same table object twice marks a
+    self-search, whose column data is computed once.
     """
     if op1 is None:
         n = len(candidates)
@@ -413,14 +414,15 @@ def _iso_search(
                 stack.append((p1[a], p2[b]))
             if op1 is None:
                 continue
-            # a is a generator: check the edge c -> c * a out of every mapped
-            # c, a included, then the edges t -> t * g out of a and out of
-            # each element an edge maps
+            # a is a generator: check the edges c -> c * a out of every
+            # mapped c, a included, and a -> a * c into the bargain, so one
+            # pass over the mapped elements also covers a's edges out
             gens.append(a)
-            edges = []  # images from an edge, to be checked
-            col1, col2 = cols1[a], cols2[b]
+            edges = []  # images from an edge, not yet mapped
+            row1, col1, row2, col2 = op1[a], cols1[a], op2[b], cols2[b]
             for c in done:
-                t, u = col1[c], col2[img[c]]
+                ic = img[c]
+                t, u = row1[c], row2[ic]
                 it = img[t]
                 if it < 0:
                     if used[u]:
@@ -428,7 +430,30 @@ def _iso_search(
                     edges.append((t, u))
                 elif it != u:
                     return False
-            while True:
+                t, u = col1[c], col2[ic]
+                it = img[t]
+                if it < 0:
+                    if used[u]:
+                        return False
+                    edges.append((t, u))
+                elif it != u:
+                    return False
+            # each element an edge maps checks its edges t -> t * g out
+            while edges:
+                a, b = edges.pop()
+                if img[a] >= 0:
+                    if img[a] != b:
+                        return False
+                    continue
+                if used[b] or b not in cand_sets[a]:
+                    return False
+                img[a] = b
+                used[b] = True
+                done.append(a)
+                if involutive:
+                    stack.append((b, a))
+                for p1, p2 in pairs:
+                    stack.append((p1[a], p2[b]))
                 row1, row2 = op1[a], op2[b]
                 for g in gens:
                     t, u = row1[g], row2[img[g]]
@@ -439,24 +464,6 @@ def _iso_search(
                         edges.append((t, u))
                     elif it != u:
                         return False
-                # the next edge whose left side has no image yet
-                while edges:
-                    a, b = edges.pop()
-                    if img[a] < 0:
-                        break
-                    if img[a] != b:
-                        return False
-                else:
-                    break
-                if used[b] or b not in cand_sets[a]:
-                    return False
-                img[a] = b
-                used[b] = True
-                done.append(a)
-                if involutive:
-                    stack.append((b, a))
-                for p1, p2 in pairs:
-                    stack.append((p1[a], p2[b]))
         return True
 
     def undo(mark: int) -> None:

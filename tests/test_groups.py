@@ -361,7 +361,9 @@ def test_psl27_automorphisms():
     )
     assert len(auts) == 336
     identity = tuple(range(g.order))
-    involutive = [a for a in auts if a.perm != identity and compose(a.perm, a.perm) == identity]
+    involutive = [
+        a for a in auts if a.perm != identity and compose(a.perm, a.perm) == identity
+    ]
     assert len(involutive) == 49
 
 

@@ -221,7 +221,7 @@ def test_isomorphisms_across_tables_match_filter():
     # trivial quandle of order <= 5, against a random relabelling of itself:
     # the search crosses two tables and lists exactly the maps the filter
     # accepts, in lexicographic order
-    tables = {symq.galex(entry.group, entry.aut).op for entry in symq.catalog_entries(5)}
+    tables = {symq.galex(e.group, e.aut).op for e in symq.catalog_entries(5)}
     tables |= {tuple(map(tuple, trivial_table(n))) for n in range(1, 6)}
     rng = random.Random(14)
     for op in sorted(tables):
