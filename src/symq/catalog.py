@@ -14,12 +14,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .budget import SearchBudget, resolve_budget
-from .errors import SearchBudgetExceeded
+from .errors import SearchBudgetExceeded, UnsupportedOrder
 from .groups import FiniteGroup, GroupAutomorphism, enumerate_automorphisms
 from .involutions import SqClassification, _analyze
 from .quandles import galex
 from .report import _analysis_report
-from .specs import build_group
+from .specs import MAX_BUILT_ORDER, build_group
 
 __all__ = [
     "CatalogEntry",
@@ -68,6 +68,11 @@ def catalog_family(
     max_order: int, include_extras: bool = False
 ) -> list[tuple[str, FiniteGroup]]:
     """Deterministic (label, group) list for the sweep, ascending by order."""
+    if max_order > MAX_BUILT_ORDER:
+        raise UnsupportedOrder(
+            f"catalog max order {max_order} is above "
+            f"the build cap of {MAX_BUILT_ORDER}"
+        )
     labels: list[str] = []
     for order in range(1, max_order + 1):
         labels.extend(_abelian_spec(chain) for chain in abelian_invariant_chains(order))

@@ -5,12 +5,12 @@ tables lives here, the lowest module, because both group automorphisms and
 quandle isomorphisms are found with it.
 
 Elements are 0-based indices into an order-n multiplication table.  All types
-are immutable after construction and safe to share between threads.
+are immutable after construction and safe to share between threads, and a
+search changes no interpreter setting, so threads may search at once.
 """
 
 from __future__ import annotations
 
-import sys
 from dataclasses import dataclass
 from itertools import permutations
 from typing import Sequence
@@ -157,15 +157,11 @@ def validate_group(product_table: Sequence[Sequence[int]]) -> FiniteGroup:
 
 def _group_from_rows(rows: list[list[int]]) -> FiniteGroup:
     """The group of a table whose identity is index 0."""
-    n = len(rows)
-    inverse = [0] * n
-    for i in range(n):
-        inverse[i] = rows[i].index(0)
     return FiniteGroup(
-        order=n,
+        order=len(rows),
         product=tuple(tuple(row) for row in rows),
         identity=0,
-        inverse=tuple(inverse),
+        inverse=tuple(row.index(0) for row in rows),
     )
 
 
@@ -210,16 +206,14 @@ def symmetric_group(k: int) -> FiniteGroup:
     """All permutations of k points in lexicographic order; order k!."""
     if k < 1:
         raise UnsupportedOrder(f"symmetric group needs k >= 1, got {k}")
-    elements = sorted(permutations(range(k)))
-    return _perm_table(elements)
+    return _perm_table(sorted(permutations(range(k))))
 
 
 def alternating_group(k: int) -> FiniteGroup:
     """Even permutations of k points in lexicographic order."""
     if k < 3:
         raise UnsupportedOrder(f"alternating group needs k >= 3, got {k}")
-    elements = sorted(p for p in permutations(range(k)) if _is_even(p))
-    return _perm_table(elements)
+    return _perm_table(sorted(p for p in permutations(range(k)) if _is_even(p)))
 
 
 def _is_even(perm: tuple[int, ...]) -> bool:
@@ -339,8 +333,8 @@ def _iso_search(
     fixes x.  Variables are assigned in ascending element order with
     ascending candidate values, so results come out in lexicographic order
     and a self-search always reports the identity first.  One budget node
-    is charged per candidate tried; search recurses once per branching
-    level, so the recursion limit is raised by n for the call.
+    is charged per candidate tried.  The levels are frames on an explicit
+    stack, so depth n is bounded in memory, not by the recursion limit.
 
     The tables are both groups or both quandles.  An element whose image
     comes from the branch, a pair or the swap is a generator; one whose
@@ -475,34 +469,34 @@ def _iso_search(
         while gens and img[gens[-1]] < 0:
             gens.pop()
 
-    def search(x: int) -> bool:
-        while x < n and img[x] >= 0:
-            x += 1
-        if x == n:
-            results.append(tuple(img))
-            return not find_all
-        for v in cand[x]:
+    if n == 0:
+        return [()]  # the empty map
+    # a frame is (x, x's candidate iterator, len(done) before x's branch);
+    # the frames of the levels above x wait on the stack
+    frames = []
+    x, options, mark = 0, iter(cand[0]), 0
+    while True:
+        for v in options:
             if used[v]:
                 continue
             budget.spend()
-            mark = len(done)
-            if assign(x, v) and search(x + 1):
-                return True
+            if assign(x, v):
+                y = x + 1
+                while y < n and img[y] >= 0:
+                    y += 1
+                if y < n:
+                    frames.append((x, options, mark))
+                    x, options, mark = y, iter(cand[y]), len(done)
+                    break
+                results.append(tuple(img))
+                if not find_all:
+                    return results
             undo(mark)
-        return False
-
-    # search recurses once per branching level, at most n deep
-    limit = sys.getrecursionlimit()
-    sys.setrecursionlimit(limit + n)
-    try:
-        search(0)
-    finally:
-        sys.setrecursionlimit(limit)
-        # search reaches itself through its closure; clearing the name breaks
-        # that cycle, so the search state is freed on return instead of
-        # piling up until a full garbage collection
-        del search
-    return results
+        else:
+            if not frames:
+                return results
+            x, options, mark = frames.pop()
+            undo(mark)
 
 
 def enumerate_automorphisms(

@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -284,6 +285,14 @@ def test_catalog_extras_degrade_gracefully(capsys):
     specs = {json.loads(line)["group_spec"] for line in out.splitlines()}
     assert {"alternating:4", "symmetric:4"} <= specs
     assert "budget notes" in err
+
+
+def test_catalog_above_build_cap_fails_before_building(capsys):
+    start = time.monotonic()
+    code, out, err = run(capsys, "catalog", "--max-order", "1025")
+    assert time.monotonic() - start < 1
+    assert code == 1 and out == ""
+    assert err == "error: catalog max order 1025 is above the build cap of 1024\n"
 
 
 # -- torus ------------------------------------------------------------------------------

@@ -1,4 +1,6 @@
+import gc
 import hashlib
+import sys
 from collections import Counter
 
 import pytest
@@ -7,6 +9,8 @@ from hypothesis import strategies as st
 
 import symq
 from symq import errors
+from symq.budget import SearchBudget
+from symq.groups import _iso_search
 from symq.perms import compose, invert
 
 from reference import (
@@ -101,14 +105,44 @@ def test_enumerator_budget(r4):
         symq.enumerate_good_involutions(r4, budget=1)
 
 
-def test_enumerator_budget_near_build_cap():
-    # the search recurses once per branching level: on the trivial quandle
-    # of order 1,000 the first involution, the identity, is 1,000 levels
-    # deep, and the budget must be what stops the search
+def test_enumerator_budget_near_build_cap(monkeypatch):
+    # on the trivial quandle of order 1,000 the first involution, the
+    # identity, is 1,000 branching levels deep; the search keeps them on its
+    # own stack and never touches the recursion limit, so the budget is what
+    # stops it
+    def refuse(limit):
+        pytest.fail(f"the search set the recursion limit to {limit}")
+
+    limit = sys.getrecursionlimit()
+    monkeypatch.setattr(sys, "setrecursionlimit", refuse)
     rows = tuple((x,) * 1_000 for x in range(1_000))
     q = symq.FiniteQuandle(order=1_000, op=rows, inv_op=rows)
     with pytest.raises(errors.SearchBudgetExceeded):
         symq.enumerate_good_involutions(q, budget=3_000)
+    assert sys.getrecursionlimit() == limit
+
+
+def test_searches_leave_no_garbage_cycles():
+    # a search's state must be freed when it returns, not left in reference
+    # cycles until the next full collection
+    a4 = symq.alternating_group(4)
+    kei = next(
+        q for q in (symq.galex(a4, phi) for phi in symq.enumerate_automorphisms(a4))
+        if symq.is_kei(q) and symq.is_connected(q)
+    )
+    rho, other = rhos_of(symq.enumerate_good_involutions(kei))[:2]
+    gc.collect()
+    gc.disable()
+    try:
+        _iso_search(a4.product, a4.product, find_all=True, budget=SearchBudget())
+        _iso_search(
+            kei.op, kei.op, find_all=False, budget=SearchBudget(),
+            pairs=[(rho, other)],
+        )
+        symq.enumerate_good_involutions(kei)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_exists_iff_kei(z4, z5, doubling_aut):
