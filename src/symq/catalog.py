@@ -40,18 +40,17 @@ class CatalogEntry:
 def abelian_invariant_chains(order: int) -> list[tuple[int, ...]]:
     """Divisor chains d1 | d2 | ... with product `order`, each di >= 2."""
     chains: list[tuple[int, ...]] = []
-
-    def extend(remaining: int, cap: int, chain: tuple[int, ...]) -> None:
+    # (the part of `order` left to factor, the cap on the next factor, the
+    # factors so far, largest last)
+    stack = [(order, order, ())]
+    while stack:
+        remaining, cap, chain = stack.pop()
         if remaining == 1:
             chains.append(chain)
-            return
+            continue
         for d in range(2, min(cap, remaining) + 1):
             if remaining % d == 0 and cap % d == 0:
-                extend(remaining // d, d, (d,) + chain)
-
-    if order == 1:
-        return [()]
-    extend(order, order, ())
+                stack.append((remaining // d, d, (d,) + chain))
     chains.sort()
     return chains
 

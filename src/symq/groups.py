@@ -371,9 +371,13 @@ def _iso_search(
         prof2 = prof1 if op2 is op1 else [perms.cycle_type(col) for col in cols2]
         if sorted(prof1) != sorted(prof2):
             return []
+        # the target elements of each profile, ascending
+        having: dict[tuple[int, ...], list[int]] = {}
+        for v, profile in enumerate(prof2):
+            having.setdefault(profile, []).append(v)
         candidates = []
         for x in range(n):
-            options = [v for v in range(n) if prof2[v] == prof1[x]]
+            options = having[prof1[x]]
             for p1, p2 in pairs:
                 fixed = p1[x] == x
                 options = [v for v in options if (p2[v] == v) == fixed]
@@ -537,19 +541,30 @@ def fixed_two_torsion(
 def orbits_under(maps: Sequence[Sequence[int]], n: int) -> OrbitPartition:
     """Finest partition of 0..n-1 closed under the given permutations.
 
-    Closure under a permutation and its inverse coincide, so plain
-    union-find over x ~ map(x) suffices.  Orbits are sorted by smallest
-    member.
+    Every map is checked to be a permutation of 0..n-1.  Closure under a
+    permutation and its inverse coincide on a finite set, so each orbit is
+    what a breadth-first walk along the maps reaches from its smallest
+    member; the starts ascend, so orbits come out sorted by smallest member.
     """
     checked = [perms.as_permutation(m, n) for m in maps]
-    parent = list(range(n))
-    for m in checked:
-        for x in range(n):
-            _join(parent, x, m[x])
-    return OrbitPartition(orbits=_blocks(parent))
+    seen = [False] * n
+    orbits = []
+    for start in range(n):
+        if seen[start]:
+            continue
+        seen[start] = True
+        orbit = [start]
+        for x in orbit:  # the list grows as the walk goes
+            for m in checked:
+                y = m[x]
+                if not seen[y]:
+                    seen[y] = True
+                    orbit.append(y)
+        orbits.append(tuple(sorted(orbit)))
+    return OrbitPartition(orbits=tuple(orbits))
 
 
-# -- union-find over 0..n-1, shared by the orbit and class partitions -----------
+# -- union-find over 0..n-1 for the class partition of the involutions ---------
 
 def _root(parent: list[int], x: int) -> int:
     while parent[x] != x:

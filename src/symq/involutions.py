@@ -268,7 +268,20 @@ def _partition_by_isomorphism(
     S_x . rho, and the number of y with x ^ y = rho(x).  An isomorphism f
     with f . rho1 = rho2 . f maps columns to columns (f . S_x . f^-1 =
     S_f(x)) and inner orbits to inner orbits, so it carries each value at x
-    to the same value at f(x).  Three cuts follow, each exact:
+    to the same value at f(x).
+
+    The values are computed at the smallest member of each inner orbit and
+    copied to the rest of it, since an inner permutation s, which is an
+    automorphism of q, leaves each of them unchanged when it replaces x by
+    s(x): S_s(x) = s . S_x . s^-1; rho commutes with s (equivariance), so rho
+    fixes s(x) exactly when it fixes x, and rho(s(x)) = s(rho(x)) lies in
+    the orbit of s(x) exactly when rho(x) lies in x's; S_s(x) . rho =
+    s . (S_x . rho) . s^-1 has the cycle type of S_x . rho; and
+    s(x) ^ s(y) = s(x ^ y), so y -> s(y) carries the y with x ^ y = rho(x)
+    onto those with s(x) ^ y = rho(s(x)).  On a connected quandle that is
+    one cycle walk per rho instead of n.
+
+    Three cuts follow, each exact:
 
     - Only representatives with the same key, the sorted multiset of the
       values, are searched; the key also fixes rho's cycle type, an
@@ -296,10 +309,14 @@ def _partition_by_isomorphism(
     # the roots the main loop has not reached yet, pruned as they are joined
     open_roots = list(range(m))
     # each element's inner orbit, named by its smallest member
-    orbit_of = {x: orbit[0] for orbit in orbits.orbits for x in orbit}
+    orbit_of = [0] * q.order
+    for orbit in orbits.orbits:
+        for x in orbit:
+            orbit_of[x] = orbit[0]
+    minima = [orbit[0] for orbit in orbits.orbits]
     op = q.op
     columns = tuple(zip(*op))
-    column_types = [perms.cycle_type(column) for column in columns]
+    column_types = {x: perms.cycle_type(columns[x]) for x in minima}
     # (index, values) of each class representative by key; the index is the
     # smallest of its class and so its union-find root
     reps: dict[tuple, list[tuple[int, list[tuple]]]] = {}
@@ -307,16 +324,17 @@ def _partition_by_isomorphism(
         if parent[i] != i:
             continue
         rho = rhos[i]
-        values = [
-            (
+        at_minimum = {
+            x: (
                 column_types[x],
                 rho[x] == x,
-                orbit_of[rho[x]] == orbit_of[x],
-                perms.cycle_type([column[r] for r in rho]),
+                orbit_of[rho[x]] == x,
+                perms.cycle_type([columns[x][r] for r in rho]),
                 op[x].count(rho[x]),
             )
-            for x, column in enumerate(columns)
-        ]
+            for x in minima
+        }
+        values = [at_minimum[x] for x in orbit_of]
         having: dict[tuple, list[int]] = {}
         for v, value in enumerate(values):
             having.setdefault(value, []).append(v)

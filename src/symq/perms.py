@@ -14,7 +14,7 @@ def identity_perm(n: int) -> tuple[int, ...]:
 def as_permutation(seq: Iterable[int], n: int) -> tuple[int, ...]:
     """Coerce to a tuple and verify it permutes 0..n-1."""
     try:
-        perm = tuple(int(x) for x in seq)
+        perm = tuple(map(int, seq))
     except (TypeError, ValueError) as exc:
         raise MalformedPermutation(f"non-integer entry: {exc}") from None
     if len(perm) != n:

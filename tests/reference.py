@@ -5,6 +5,9 @@ package's search: it walks every involutive permutation and keeps those that
 pass `check_good_involution`, the definition read condition by condition.
 The automorphism-orbit classes check the isomorphism partition against the
 group action that defines it, without its invariants or symmetry cuts.
+The partition's five values are computed here at every element, and the
+orbits of a set of permutations by union-find, the package's earlier
+formulas, so tests can check the shortcuts that replaced them.
 PSL(2,7) is built here, from its Moebius maps, because no group spec names
 it.  `run_with_exact_budget` pins the nodes a search spends.
 """
@@ -18,7 +21,7 @@ import pytest
 
 import symq
 from symq import errors
-from symq.perms import compose, invert
+from symq.perms import compose, cycle_type, invert
 from symq.torus import Transvection
 
 T = TypeVar("T")
@@ -95,6 +98,52 @@ def automorphism_orbit_classes(
         seen |= orbit
         classes.append(tuple(sorted(orbit)))
     return tuple(classes)
+
+
+def partition_values(
+    q: symq.FiniteQuandle, rho: tuple[int, ...]
+) -> list[tuple]:
+    """The isomorphism partition's five values at every element x.
+
+    The cycle type of x's column S_x, whether rho fixes x, whether rho(x)
+    lies in x's inner orbit, the cycle type of S_x . rho, and the number of
+    y with x ^ y = rho(x).
+    """
+    orbit_of = {x: orbit[0] for orbit in symq.inner_orbits(q).orbits for x in orbit}
+    columns = list(zip(*q.op))
+    return [
+        (
+            cycle_type(column),
+            rho[x] == x,
+            orbit_of[rho[x]] == orbit_of[x],
+            cycle_type([column[r] for r in rho]),
+            q.op[x].count(rho[x]),
+        )
+        for x, column in enumerate(columns)
+    ]
+
+
+def orbits_by_union_find(maps: list, n: int) -> tuple[tuple[int, ...], ...]:
+    """Orbits of 0..n-1 under the maps, by joining x and m(x) for every m.
+
+    Each root is its block's smallest member; the blocks come out as
+    ascending tuples ordered by smallest member.
+    """
+    parent = list(range(n))
+
+    def root(x: int) -> int:
+        while parent[x] != x:
+            x = parent[x]
+        return x
+
+    for m in maps:
+        for x in range(n):
+            rx, ry = root(x), root(m[x])
+            parent[max(rx, ry)] = min(rx, ry)
+    blocks: dict[int, list[int]] = {}
+    for x in range(n):
+        blocks.setdefault(root(x), []).append(x)
+    return tuple(tuple(members) for members in blocks.values())
 
 
 def all_transvections(n: int) -> list[Transvection]:

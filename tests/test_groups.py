@@ -10,7 +10,7 @@ from symq.budget import SearchBudget
 from symq.groups import _iso_search
 from symq.perms import compose
 
-from reference import psl27, run_with_exact_budget
+from reference import orbits_by_union_find, psl27, run_with_exact_budget
 
 # Latin square with identity 0 and two-sided inverses that is not associative.
 NONASSOC_LOOP = [
@@ -432,6 +432,25 @@ def test_orbits_transvections_on_four_points():
     e21 = [0, 3, 2, 1]
     part = symq.orbits_under([e12, e21], 4)
     assert part.orbits == ((0,), (1, 2, 3))
+
+
+@st.composite
+def maps_on_points(draw):
+    """(maps, n): up to four permutations of 0..n-1, as lists or as tuples."""
+    n = draw(st.integers(0, 9))
+    maps = draw(st.lists(st.permutations(list(range(n))), max_size=4))
+    if draw(st.booleans()):
+        maps = [tuple(m) for m in maps]
+    return maps, n
+
+
+@given(maps_on_points())
+@settings(max_examples=200, deadline=None)
+def test_orbits_match_union_find(case):
+    # the closure walk gives the partition that joining x and m(x) for
+    # every map m gives
+    maps, n = case
+    assert symq.orbits_under(maps, n).orbits == orbits_by_union_find(maps, n)
 
 
 def test_orbits_rejects_non_permutation():

@@ -17,6 +17,7 @@ from reference import (
     automorphism_orbit_classes,
     enumerate_good_involutions_by_filter,
     involutions,
+    partition_values,
 )
 
 
@@ -123,8 +124,9 @@ def test_enumerator_budget_near_build_cap(monkeypatch):
 
 
 def test_searches_leave_no_garbage_cycles():
-    # a search's state must be freed when it returns, not left in reference
-    # cycles until the next full collection
+    # the state of a search, and of the catalog's divisor-chain builder,
+    # must be freed when the call returns, not left in reference cycles
+    # until the next full collection
     a4 = symq.alternating_group(4)
     kei = next(
         q for q in (symq.galex(a4, phi) for phi in symq.enumerate_automorphisms(a4))
@@ -140,6 +142,7 @@ def test_searches_leave_no_garbage_cycles():
             pairs=[(rho, other)],
         )
         symq.enumerate_good_involutions(kei)
+        symq.catalog_family(12)
         assert gc.collect() == 0
     finally:
         gc.enable()
@@ -346,6 +349,52 @@ def test_partition_matches_automorphism_orbits_a5(a5_connected_keis, index, clas
     assert result.bruteforce_count == classes
     rhos = list(result.good_involutions)
     assert result.classes_bruteforce == automorphism_orbit_classes(q, rhos)
+
+
+def test_partition_values_constant_on_inner_orbits(a5_connected_keis):
+    # the partition computes its five values at each inner orbit's smallest
+    # member and copies them to the rest of the orbit, which is exact only
+    # if the values, computed at every element by the full formula, agree
+    # along each orbit
+    quandles = {}
+    for entry in symq.catalog_entries(8):
+        q = symq.galex(entry.group, entry.aut)
+        quandles.setdefault(q.op, q)
+    a4 = symq.alternating_group(4)
+    connected = []
+    for phi in symq.enumerate_automorphisms(a4):
+        q = symq.galex(a4, phi)
+        if symq.is_kei(q) and symq.is_connected(q):
+            connected.append(q)
+    assert len(connected) == 6
+    rhos_seen = 0
+    for q in [*quandles.values(), *connected, a5_connected_keis[0][1]]:
+        orbits = symq.inner_orbits(q).orbits
+        for rho in rhos_of(symq.enumerate_good_involutions(q)):
+            values = partition_values(q, rho)
+            for orbit in orbits:
+                assert {values[x] for x in orbit} == {values[orbit[0]]}
+            rhos_seen += 1
+    assert rhos_seen > 100
+
+
+def test_cross_check_node_total_over_connected_a4_a5_keis(a5_connected_keis):
+    # the nodes that cross_check_sq spends on the 31 connected keis of A4
+    # and A5, both routes under one budget; a change to the invariants, the
+    # candidates or the search order moves this total
+    from symq.involutions import _analyze
+
+    a4 = symq.alternating_group(4)
+    keis = [
+        q for q in (symq.galex(a4, phi) for phi in symq.enumerate_automorphisms(a4))
+        if symq.is_kei(q) and symq.is_connected(q)
+    ]
+    keis += [q for _, q in a5_connected_keis]
+    budget = SearchBudget()
+    for q in keis:
+        result = _analyze(q, budget, oracle=True, theorem=True, classify=True)
+        assert result.agreement is True
+    assert (len(keis), budget.used) == (31, 4_523)
 
 
 def test_inner_orbits_run_once_per_analysis(monkeypatch):
