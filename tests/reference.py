@@ -5,9 +5,10 @@ package's search: it walks every involutive permutation and keeps those that
 pass `check_good_involution`, the definition read condition by condition.
 The automorphism-orbit classes check the isomorphism partition against the
 group action that defines it, without its invariants or symmetry cuts.
-The partition's five values are computed here at every element, and the
-orbits of a set of permutations by union-find, the package's earlier
-formulas, so tests can check the shortcuts that replaced them.
+The partition's five values are computed here at every element by their
+full formula, and the orbits of a set of permutations by union-find, so
+tests can check the package's per-orbit values and closure walk against
+them.
 PSL(2,7) is built here, from its Moebius maps, because no group spec names
 it.  `run_with_exact_budget` pins the nodes a search spends.
 """
