@@ -64,7 +64,9 @@ def cmd_group_build(args) -> int:
 
 
 def cmd_group_check(args) -> int:
-    group = validate_group(build_group(args.group).product)
+    group = build_group(args.group)
+    if not args.group.startswith("file:"):  # build_group validated a file table
+        group = validate_group(group.product)
     report = {
         "tool_version": __version__,
         "group_spec": args.group,

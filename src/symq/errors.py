@@ -144,11 +144,11 @@ class DimensionTooLarge(SymqError):
         super().__init__(f"dimension {n} outside supported range 1..{cap}")
 
 
-class ModelInconsistency(SymqError):
-    """A structural equality the model relies on failed to hold."""
-
-
 # -- cross-checks -------------------------------------------------------------
 
 class InternalConsistencyError(SymqError):
     """A verified mathematical identity failed; this signals a tool bug."""
+
+
+class ModelInconsistency(InternalConsistencyError):
+    """A structural equality the torus model relies on failed to hold."""

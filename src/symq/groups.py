@@ -395,8 +395,10 @@ def _iso_search(
 
     def assign(x: int, v: int) -> bool:
         stack = [(x, v)]  # images from the branch, a pair or the swap
-        while stack:
-            a, b = stack.pop()
+        edges = []  # images from an edge t -> t * g, taken first
+        while edges or stack:
+            generator = not edges
+            a, b = stack.pop() if generator else edges.pop()
             if img[a] >= 0:
                 if img[a] != b:
                     return False
@@ -412,12 +414,24 @@ def _iso_search(
                 stack.append((p1[a], p2[b]))
             if op1 is None:
                 continue
-            # a is a generator: check the edges c -> c * a out of every
-            # mapped c, a included, and a -> a * c into the bargain, so one
-            # pass over the mapped elements also covers a's edges out
+            row1, row2 = op1[a], op2[b]
+            if not generator:
+                # a checks its edges t -> t * g out
+                for g in gens:
+                    t, u = row1[g], row2[img[g]]
+                    it = img[t]
+                    if it < 0:
+                        if used[u]:
+                            return False
+                        edges.append((t, u))
+                    elif it != u:
+                        return False
+                continue
+            # a generator checks the edges c -> c * a out of every mapped c,
+            # a included, and a -> a * c into the bargain, so one pass over
+            # the mapped elements also covers a's edges out
             gens.append(a)
-            edges = []  # images from an edge, not yet mapped
-            row1, col1, row2, col2 = op1[a], cols1[a], op2[b], cols2[b]
+            col1, col2 = cols1[a], cols2[b]
             for c in done:
                 ic = img[c]
                 t, u = row1[c], row2[ic]
@@ -436,32 +450,6 @@ def _iso_search(
                     edges.append((t, u))
                 elif it != u:
                     return False
-            # each element an edge maps checks its edges t -> t * g out
-            while edges:
-                a, b = edges.pop()
-                if img[a] >= 0:
-                    if img[a] != b:
-                        return False
-                    continue
-                if used[b] or b not in cand_sets[a]:
-                    return False
-                img[a] = b
-                used[b] = True
-                done.append(a)
-                if involutive:
-                    stack.append((b, a))
-                for p1, p2 in pairs:
-                    stack.append((p1[a], p2[b]))
-                row1, row2 = op1[a], op2[b]
-                for g in gens:
-                    t, u = row1[g], row2[img[g]]
-                    it = img[t]
-                    if it < 0:
-                        if used[u]:
-                            return False
-                        edges.append((t, u))
-                    elif it != u:
-                        return False
         return True
 
     def undo(mark: int) -> None:
@@ -502,6 +490,8 @@ def _iso_search(
             x, options, mark = frames.pop()
             undo(mark)
 
+
+# -- automorphism lists, fixed elements and orbits --------------------------------
 
 def enumerate_automorphisms(
     group: FiniteGroup, budget: int | None = None
@@ -563,27 +553,3 @@ def orbits_under(maps: Sequence[Sequence[int]], n: int) -> OrbitPartition:
         orbits.append(tuple(sorted(orbit)))
     return OrbitPartition(orbits=tuple(orbits))
 
-
-# -- union-find over 0..n-1 for the class partition of the involutions ---------
-
-def _root(parent: list[int], x: int) -> int:
-    while parent[x] != x:
-        parent[x] = parent[parent[x]]
-        x = parent[x]
-    return x
-
-
-def _join(parent: list[int], x: int, y: int) -> None:
-    """Merge the blocks of x and y; a root is always its block's smallest member."""
-    rx, ry = _root(parent, x), _root(parent, y)
-    if rx != ry:
-        parent[max(rx, ry)] = min(rx, ry)
-
-
-def _blocks(parent: list[int]) -> tuple[tuple[int, ...], ...]:
-    """The blocks as ascending tuples, ordered by smallest member."""
-    blocks: dict[int, list[int]] = {}
-    # ascending x meets each block first at its smallest member
-    for x in range(len(parent)):
-        blocks.setdefault(_root(parent, x), []).append(x)
-    return tuple(tuple(members) for members in blocks.values())

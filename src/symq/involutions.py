@@ -39,9 +39,7 @@ from .groups import (
     FiniteGroup,
     GroupAutomorphism,
     OrbitPartition,
-    _blocks,
     _iso_search,
-    _join,
     fixed_two_torsion,
     orbits_under,
 )
@@ -252,6 +250,30 @@ def symmetric_quandle_isomorphic(
     if not found:
         return None
     return QuandleMap(source=a.quandle, target=b.quandle, perm=found[0])
+
+
+# a union-find over the involution list's indices, for the partition below
+def _root(parent: list[int], x: int) -> int:
+    while parent[x] != x:
+        parent[x] = parent[parent[x]]
+        x = parent[x]
+    return x
+
+
+def _join(parent: list[int], x: int, y: int) -> None:
+    """Merge the blocks of x and y; a root is always its block's smallest member."""
+    rx, ry = _root(parent, x), _root(parent, y)
+    if rx != ry:
+        parent[max(rx, ry)] = min(rx, ry)
+
+
+def _blocks(parent: list[int]) -> tuple[tuple[int, ...], ...]:
+    """The blocks as ascending tuples, ordered by smallest member."""
+    blocks: dict[int, list[int]] = {}
+    # ascending x meets each block first at its smallest member
+    for x in range(len(parent)):
+        blocks.setdefault(_root(parent, x), []).append(x)
+    return tuple(tuple(members) for members in blocks.values())
 
 
 def _partition_by_isomorphism(

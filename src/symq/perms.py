@@ -12,11 +12,17 @@ def identity_perm(n: int) -> tuple[int, ...]:
 
 
 def as_permutation(seq: Iterable[int], n: int) -> tuple[int, ...]:
-    """Coerce to a tuple and verify it permutes 0..n-1."""
+    """Coerce to a tuple of ints and verify it permutes 0..n-1; digit strings
+    are read as numbers, but a number that int() would change (1.7) is refused."""
+    entries = tuple(seq)
     try:
-        perm = tuple(map(int, seq))
-    except (TypeError, ValueError) as exc:
+        perm = tuple(map(int, entries))
+    except (TypeError, ValueError, OverflowError) as exc:
         raise MalformedPermutation(f"non-integer entry: {exc}") from None
+    if perm != entries:  # an all-int input never gets here
+        for x, i in zip(entries, perm):
+            if x != i and not isinstance(x, (str, bytes)):
+                raise MalformedPermutation(f"non-integer entry: {x!r}")
     if len(perm) != n:
         raise MalformedPermutation(f"expected length {n}, got {len(perm)}")
     if sorted(perm) != list(range(n)):

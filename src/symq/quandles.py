@@ -170,9 +170,11 @@ def quandle_map(
     source: FiniteQuandle, target: FiniteQuandle, perm: Sequence[int]
 ) -> QuandleMap:
     """Build a QuandleMap after verifying bijectivity and op-preservation."""
-    p = perms.as_permutation(perm, source.order)
     if target.order != source.order:
-        raise NotOpPreserving(0, 0)
+        raise ValueError(
+            f"source has order {source.order} but target has order {target.order}"
+        )
+    p = perms.as_permutation(perm, source.order)
     for x in range(source.order):
         for y in range(source.order):
             if p[source.op[x][y]] != target.op[p[x]][p[y]]:

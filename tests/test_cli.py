@@ -56,6 +56,29 @@ def test_group_check(capsys):
     assert report["valid"] is True
 
 
+def test_group_check_validates_a_file_table_once(tmp_path, capsys, monkeypatch):
+    # the cubic associativity check runs once per table: in build_group for
+    # a file table, in the command for a built-in spec
+    import symq.cli as cli
+    import symq.specs as specs
+
+    calls = []
+
+    def counting(table):
+        calls.append(len(table))
+        return symq.validate_group(table)
+
+    monkeypatch.setattr(cli, "validate_group", counting)
+    monkeypatch.setattr(specs, "validate_group", counting)
+    path = tmp_path / "z5.txt"
+    write_table(path, symq.cyclic_group(5).product)
+    report = run_json(capsys, "group", "check", "--group", f"file:{path}")
+    assert report["order"] == 5 and calls == [5]
+    calls.clear()
+    report = run_json(capsys, "group", "check", "--group", "dihedral:3")
+    assert report["order"] == 6 and calls == [6]
+
+
 def test_group_parse_error_exit_code(capsys):
     code, _, err = run(capsys, "group", "build", "--group", "cyclic:-1")
     assert code == 1
@@ -174,6 +197,34 @@ def test_sq_crosscheck_agreement(capsys):
     assert report["sq_classes_theorem"] == 1
 
 
+def test_sq_table_input_refuses_the_closed_form_routes(tmp_path, capsys):
+    path = tmp_path / "r3.txt"
+    write_table(path, symq.galex(
+        symq.cyclic_group(3), symq.inversion_automorphism(symq.cyclic_group(3))
+    ).op)
+    for argv in (("enumerate", "--closed-form"), ("classify", "--theorem")):
+        code, out, err = run(capsys, "sq", argv[0], "--table", str(path), argv[1])
+        assert code == 1 and out == "", argv
+        assert f"{argv[1]} needs --group/--aut input" in err, argv
+
+
+def test_sq_crosscheck_disagreement_exits_three(capsys, monkeypatch):
+    import symq.cli as cli
+    from dataclasses import replace
+
+    analyze = cli._analyze_strict
+    monkeypatch.setattr(
+        cli, "_analyze_strict",
+        lambda *args, **kw: replace(analyze(*args, **kw), agreement=False),
+    )
+    code, out, err = run(
+        capsys, "sq", "crosscheck", "--group", "cyclic:9", "--aut", "inv"
+    )
+    assert code == 3
+    assert json.loads(out)["agreement"] is False
+    assert err == "classification routes disagree\n"
+
+
 def test_sq_crosscheck_alternating_spec(capsys):
     # the catalog names this group "alternating:4"; the CLI takes it back
     report = run_json(
@@ -227,6 +278,15 @@ def test_sq_budget_flag_beats_env(capsys, monkeypatch):
         "--budget", "100000",
     )
     assert code == 0
+
+
+def test_sq_env_budget_must_be_an_integer(capsys, monkeypatch):
+    monkeypatch.setenv("SYMQ_BUDGET", "abc")
+    code, out, err = run(
+        capsys, "sq", "enumerate", "--group", "cyclic:4", "--aut", "inv"
+    )
+    assert code == 1 and out == ""
+    assert err == "error: SYMQ_BUDGET is not an integer: 'abc'\n"
 
 
 def test_sq_env_budget_applies(capsys, monkeypatch):
@@ -308,6 +368,19 @@ def test_torus_degenerate_note(capsys):
     report = run_json(capsys, "torus", "--n", "1")
     assert report["class_count"] == 2
     assert report["notes"]
+
+
+def test_torus_model_failure_is_exit_three(capsys, monkeypatch):
+    import symq.cli as cli
+    from symq.errors import ModelInconsistency
+
+    def broken(n):
+        raise ModelInconsistency("shear maps moved the zero vector")
+
+    monkeypatch.setattr(cli, "torus_report_data", broken)
+    code, out, err = run(capsys, "torus", "--n", "3")
+    assert code == 3 and out == ""
+    assert err == "internal consistency failure: shear maps moved the zero vector\n"
 
 
 def test_torus_dimension_error(capsys):

@@ -180,6 +180,23 @@ def test_validate_automorphism_rejects_non_bijection(z4):
         symq.validate_automorphism(z4, [0, 1, 2])
 
 
+@pytest.mark.parametrize("perm", [[0, 1.7, 2.2], [0, 1, 2.9], [0.5, 1, 2]])
+def test_validate_automorphism_refuses_fractional_entries(perm):
+    # int() would truncate these to a permutation; they are refused instead
+    with pytest.raises(errors.NotBijective, match="non-integer entry"):
+        symq.validate_automorphism(symq.cyclic_group(3), perm)
+
+
+def test_as_permutation_reads_digit_strings_and_whole_numbers():
+    from symq.perms import as_permutation
+
+    assert as_permutation(["0", "1", "2"], 3) == (0, 1, 2)
+    assert as_permutation([0, 1.0, 2], 3) == (0, 1, 2)
+    assert as_permutation(iter([2, 0, 1]), 3) == (2, 0, 1)
+    with pytest.raises(errors.MalformedPermutation, match="non-integer entry"):
+        as_permutation([0, float("inf"), 2], 3)
+
+
 # -- enumerate_automorphisms ------------------------------------------------------
 
 
@@ -456,6 +473,8 @@ def test_orbits_match_union_find(case):
 def test_orbits_rejects_non_permutation():
     with pytest.raises(errors.MalformedPermutation):
         symq.orbits_under([[0, 0, 1]], 3)
+    with pytest.raises(errors.MalformedPermutation):
+        symq.orbits_under([[0, True, 2.9]], 3)
 
 
 @given(

@@ -304,6 +304,11 @@ def test_quandle_map_factory_rejects_bad_maps(r3):
         symq.quandle_map(r3, r3, [0, 0, 1])
 
 
+def test_quandle_map_names_both_orders_when_they_differ(r3):
+    with pytest.raises(ValueError, match="source has order 3 but target has order 4"):
+        symq.quandle_map(r3, symq.validate_quandle(trivial_table(4)), [0, 1, 2])
+
+
 @given(st.permutations(list(range(3))))
 @settings(max_examples=30, deadline=None)
 def test_quandle_map_factory_matches_predicate(perm):

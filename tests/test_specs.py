@@ -34,6 +34,17 @@ def test_parse_negative_order_is_a_parse_error():
     assert exc.value.offset == 7
 
 
+@pytest.mark.parametrize(
+    "spec, message",
+    [("cyclic5", "expected ':' (at offset 6)"),
+     ("file:", "expected a file path (at offset 5)")],
+)
+def test_parse_error_messages(spec, message):
+    with pytest.raises(errors.SpecParseError) as exc:
+        symq.parse_group_spec(spec)
+    assert str(exc.value) == message
+
+
 def test_parse_unknown_kind():
     with pytest.raises(errors.SpecParseError):
         symq.parse_group_spec("sporadic:1")
