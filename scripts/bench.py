@@ -6,18 +6,20 @@ Usage: python scripts/bench.py BASE HEAD --out BENCH_N.json [--seed N]
 BASE and HEAD are the roots of two checkouts.  For every workload that
 `BENCHMARK.json` (read from HEAD) lists, this runs the benchmark command
 from each checkout root in turn: twice with `--trace 0`, the first round
-BASE first and the second HEAD first, then once each with `--trace 1`.
+BASE first and the second HEAD first, then `TRACED_RUNS` (3) times with
+`--trace 1`, again alternating which side goes first, starting with BASE.
 Every run gets the file's `run_seconds`.  The output holds, per workload,
 each end-to-end metric's runs, medians, relative change and whether the
 change is worse than the metric's bound, the number of timed passes of
 each `--trace 0` run (in the order of the metric's runs), and each
-per-layer metric of the traced runs.  Next to each side's `revision` it
-records `src_lines`, the total line count of that checkout's
-`src/symq/*.py` as `wc -l` counts it.  Before the workloads it runs the
-Tier-1 test command (`python -m pytest -q --continue-on-collection-errors`
-with `src` on PYTHONPATH) once from each checkout root and records, under
-`tier1`, its raw wall time in seconds (not scaled to a reference speed),
-exit code and the counts of its pytest summary line.  Exit code 0 when
+per-layer metric's traced runs, medians and relative change.  Next to
+each side's `revision` it records `src_lines`, the total line count of
+that checkout's `src/symq/*.py` as `wc -l` counts it.  Before the
+workloads it runs the Tier-1 test command (`python -m pytest -q
+--continue-on-collection-errors` with `src` on PYTHONPATH) once from each
+checkout root and records, under `tier1`, its raw wall time in seconds
+(not scaled to a reference speed), exit code and the counts of its pytest
+summary line.  Exit code 0 when
 both Tier-1 runs exited 0 and every benchmark run reported correct
 outputs, else 1.
 """
@@ -36,6 +38,8 @@ import time
 from pathlib import Path
 
 TIER1 = ["-m", "pytest", "-q", "--continue-on-collection-errors"]
+# traced runs per side; one cannot tell a few per cent from noise
+TRACED_RUNS = 3
 
 
 def _revision(root: Path) -> str | None:
@@ -141,13 +145,15 @@ def main() -> int:
                 print(f"{workload}: {side} --trace 0", file=sys.stderr, flush=True)
                 runs[side].append(_run(root, bench["command"], workload, args.seed,
                                        seconds, 0))
-        traced = {}
-        for side, root in (("base", base), ("head", head)):
-            print(f"{workload}: {side} --trace 1", file=sys.stderr, flush=True)
-            traced[side] = _run(root, bench["command"], workload, args.seed, seconds, 1)
+        traced = {"base": [], "head": []}
+        for i in range(TRACED_RUNS):
+            for side in ("base", "head") if i % 2 == 0 else ("head", "base"):
+                root = base if side == "base" else head
+                print(f"{workload}: {side} --trace 1", file=sys.stderr, flush=True)
+                traced[side].append(_run(root, bench["command"], workload, args.seed,
+                                         seconds, 1))
         correct = {
-            side: [r["correct"] for r in runs[side]] + [traced[side]["correct"]]
-            for side in runs
+            side: [r["correct"] for r in runs[side] + traced[side]] for side in runs
         }
         all_correct &= all(correct["base"]) and all(correct["head"])
         result["workloads"][workload] = {
@@ -164,8 +170,8 @@ def main() -> int:
             },
             "per_layer": {
                 spec["name"]: _compare(
-                    spec, _values([traced["base"]], spec["name"]),
-                    _values([traced["head"]], spec["name"]),
+                    spec, _values(traced["base"], spec["name"]),
+                    _values(traced["head"], spec["name"]),
                 )
                 for spec in bench["per_layer"]
             },

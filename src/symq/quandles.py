@@ -8,6 +8,7 @@ is immutable once built.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Sequence
 
 from . import perms
@@ -109,8 +110,11 @@ def galex(group: FiniteGroup, phi: GroupAutomorphism) -> FiniteQuandle:
     """Twisted-conjugation quandle on a group: x ^ y = phi(x) phi(y^-1) y.
 
     The inverse operation is x ^ (y^-1) = phi^-1(x) phi^-1(y^-1) y, the unique
-    column inverse the axioms admit; construction cross-checks that the two
-    tables really invert each other column by column.
+    column inverse the axioms admit.  By the associativity that every group
+    constructor and `validate_group` guarantee, row x of op is row phi(x) of
+    the product gathered at c_y = phi(y^-1) y, and row x of inv_op is row
+    phi^-1(x) gathered at d_y = phi^-1(y^-1) y.  Construction still checks
+    that the two tables invert each other column by column.
     """
     _check_same_group(group, phi)
     n = group.order
@@ -118,38 +122,33 @@ def galex(group: FiniteGroup, phi: GroupAutomorphism) -> FiniteQuandle:
     ginv = group.inverse
     f = phi.perm
     finv = perms.invert(f)
+    by_c = _gather([p[f[ginv[y]]][y] for y in range(n)])
+    by_d = _gather([p[finv[ginv[y]]][y] for y in range(n)])
+    op = tuple(by_c(p[fx]) for fx in f)
+    inv_op = tuple(by_d(p[gx]) for gx in finv)
 
-    op = []
-    inv_op = []
-    for x in range(n):
-        fx = f[x]
-        gx = finv[x]
-        op.append(tuple(p[p[fx][f[ginv[y]]]][y] for y in range(n)))
-        inv_op.append(tuple(p[p[gx][finv[ginv[y]]]][y] for y in range(n)))
-
-    for y in range(n):
-        col = [op[x][y] for x in range(n)]
-        back = [inv_op[x][y] for x in range(n)]
-        if perms.invert(col) != tuple(back):
+    # back o col = id on a finite set exactly when back is col's inverse
+    identity = tuple(range(n))
+    for y, (col, back) in enumerate(zip(zip(*op), zip(*inv_op))):
+        if _gather(col)(back) != identity:
             raise InternalConsistencyError(
                 f"inverse operation is not the column inverse at column {y}"
             )
 
-    return FiniteQuandle(
-        order=n,
-        op=tuple(op),
-        inv_op=tuple(inv_op),
-        origin=phi,
-    )
+    return FiniteQuandle(order=n, op=op, inv_op=inv_op, origin=phi)
+
+
+def _gather(indices: Sequence[int]):
+    """Map a row r to tuple(r[i] for i in indices) at C speed; itemgetter of
+    one index returns the bare item, but a one-entry row is its own gather."""
+    return itemgetter(*indices) if len(indices) > 1 else tuple
 
 
 def kei_witness(q: FiniteQuandle) -> tuple[int, int] | None:
     """Smallest (x, y) where the operation and its inverse differ, if any."""
-    for x in range(q.order):
-        row, inv_row = q.op[x], q.inv_op[x]
-        for y in range(q.order):
-            if row[y] != inv_row[y]:
-                return (x, y)
+    for x, (row, inv_row) in enumerate(zip(q.op, q.inv_op)):
+        if row != inv_row:
+            return (x, next(y for y, (a, b) in enumerate(zip(row, inv_row)) if a != b))
     return None
 
 

@@ -9,6 +9,8 @@ The partition's five values are computed here at every element by their
 full formula, and the orbits of a set of permutations by union-find, so
 tests can check the package's per-orbit values and closure walk against
 them.
+`galex_tables` computes a twisted-conjugation quandle cell by cell from
+its defining formula, for tests to compare the package's row gathers with.
 PSL(2,7) is built here, from its Moebius maps, because no group spec names
 it.  `run_with_exact_budget` pins the nodes a search spends.
 """
@@ -145,6 +147,24 @@ def orbits_by_union_find(maps: list, n: int) -> tuple[tuple[int, ...], ...]:
     for x in range(n):
         blocks.setdefault(root(x), []).append(x)
     return tuple(tuple(members) for members in blocks.values())
+
+
+def galex_tables(
+    group: symq.FiniteGroup, phi: symq.GroupAutomorphism
+) -> tuple[tuple[tuple[int, ...], ...], tuple[tuple[int, ...], ...]]:
+    """(op, inv_op) of GAlex(group, phi), each cell by its formula.
+
+    x ^ y = phi(x) phi(y^-1) y and x ^ (y^-1) = phi^-1(x) phi^-1(y^-1) y,
+    multiplied left to right.
+    """
+    p, ginv, f = group.product, group.inverse, phi.perm
+    finv = invert(f)
+    cells = range(group.order)
+    op = tuple(tuple(p[p[f[x]][f[ginv[y]]]][y] for y in cells) for x in cells)
+    inv_op = tuple(
+        tuple(p[p[finv[x]][finv[ginv[y]]]][y] for y in cells) for x in cells
+    )
+    return op, inv_op
 
 
 def all_transvections(n: int) -> list[Transvection]:

@@ -197,6 +197,16 @@ def test_as_permutation_reads_digit_strings_and_whole_numbers():
         as_permutation([0, float("inf"), 2], 3)
 
 
+def test_permutation_inputs_refuse_bools():
+    # True == 1 and False == 0, but a table entry refuses bools too
+    with pytest.raises(errors.MalformedPermutation, match="non-integer entry: True"):
+        symq.orbits_under([[0, True, 2]], 3)
+    with pytest.raises(errors.NotBijective, match="non-integer entry: False"):
+        symq.validate_automorphism(symq.cyclic_group(2), [False, True])
+    with pytest.raises(errors.MalformedTable):
+        symq.validate_group([[False, True], [True, False]])
+
+
 # -- enumerate_automorphisms ------------------------------------------------------
 
 

@@ -9,9 +9,9 @@ import symq
 from symq import errors
 from symq.budget import SearchBudget
 from symq.perms import compose, invert
-from symq.groups import _iso_search
+from symq.groups import FiniteGroup, GroupAutomorphism, _iso_search
 
-from reference import run_with_exact_budget
+from reference import galex_tables, run_with_exact_budget
 
 
 def r3_table():
@@ -117,6 +117,35 @@ def test_galex_satisfies_axioms_across_catalog(small_family):
             q = symq.galex(g, phi)
             validated = symq.validate_quandle(q.op)
             assert validated.inv_op == q.inv_op, label
+
+
+def test_galex_rows_match_cell_formula():
+    # cyclic:1 is in the family: its rows are gathered at a single index
+    family = symq.catalog_family(12, include_extras=True)
+    assert family[0][0] == "cyclic:1"
+    for label, g in family + [("alternating:5", symq.alternating_group(5))]:
+        for phi in symq.enumerate_automorphisms(g):
+            q = symq.galex(g, phi)
+            assert (q.op, q.inv_op) == galex_tables(g, phi), (label, phi.perm)
+            assert q.origin == phi
+
+
+def test_galex_column_check_catches_non_associative_loop():
+    # a loop of order 5 in which every element is its own inverse; the
+    # row gathers need associativity, so the column check must catch it
+    table = (
+        (0, 1, 2, 3, 4),
+        (1, 0, 3, 4, 2),
+        (2, 4, 0, 1, 3),
+        (3, 2, 4, 0, 1),
+        (4, 3, 1, 2, 0),
+    )
+    with pytest.raises(errors.NotAssociative):
+        symq.validate_group(table)
+    loop = FiniteGroup(order=5, product=table, identity=0, inverse=(0, 1, 2, 3, 4))
+    phi = GroupAutomorphism(group=loop, perm=(0, 1, 3, 4, 2))
+    with pytest.raises(errors.InternalConsistencyError, match="at column 2$"):
+        symq.galex(loop, phi)
 
 
 def test_galex_q2_roundtrip(q5):
