@@ -15,24 +15,20 @@ def as_permutation(seq: Iterable[int], n: int) -> tuple[int, ...]:
     """Coerce to a tuple of ints and verify it permutes 0..n-1; digit strings
     are read as numbers, but a bool or a number that int() would change (1.7)
     is refused."""
-    perm = tuple(seq)
-    if not set(map(type, perm)) <= {int}:  # an all-int input skips coercion
-        perm = _coerce(perm)
+    entries = tuple(seq)
+    perm = entries
+    if not set(map(type, entries)) <= {int}:  # an all-int input skips coercion
+        try:
+            perm = tuple(map(int, entries))
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise MalformedPermutation(f"non-integer entry: {exc}") from None
+        for x, i in zip(entries, perm):
+            if isinstance(x, bool) or (x != i and not isinstance(x, (str, bytes))):
+                raise MalformedPermutation(f"non-integer entry: {x!r}")
     if len(perm) != n:
         raise MalformedPermutation(f"expected length {n}, got {len(perm)}")
     if sorted(perm) != list(range(n)):
         raise MalformedPermutation("entries are not a rearrangement of 0..n-1")
-    return perm
-
-
-def _coerce(entries: tuple) -> tuple[int, ...]:
-    try:
-        perm = tuple(map(int, entries))
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise MalformedPermutation(f"non-integer entry: {exc}") from None
-    for x, i in zip(entries, perm):
-        if isinstance(x, bool) or (x != i and not isinstance(x, (str, bytes))):
-            raise MalformedPermutation(f"non-integer entry: {x!r}")
     return perm
 
 
