@@ -12,7 +12,11 @@ Every run gets the file's `run_seconds`.  The output holds, per workload,
 each end-to-end metric's runs, medians, relative change and whether the
 change is worse than the metric's bound, the number of timed passes of
 each `--trace 0` run (in the order of the metric's runs), and each
-per-layer metric's traced runs, medians and relative change.  Next to
+per-layer metric's traced runs, medians and relative change.  Every
+end-to-end and per-layer row also has `resolved`: true only when every
+HEAD run reads better than every BASE run, or every one reads worse, so
+the two sides' ranges do not overlap; a change whose row is not resolved
+is not told apart from noise by these runs.  Next to
 each side's `revision` it records `src_lines`, the total line count of
 that checkout's `src/symq/*.py` as `wc -l` counts it.  Before the
 workloads it runs the Tier-1 test command (`python -m pytest -q
@@ -102,6 +106,7 @@ def _compare(spec: dict, base: list[float], head: list[float]) -> dict:
         b, h = statistics.median(base), statistics.median(head)
         row["base_median"], row["head_median"] = b, h
         row["change"] = (h - b) / b if b else None
+        row["resolved"] = max(head) < min(base) or min(head) > max(base)
         if "bound" in spec and row["change"] is not None:
             worse = row["change"] if spec["better"] == "lower" else -row["change"]
             row["bound"] = spec["bound"]

@@ -326,7 +326,10 @@ def _iso_search(
     column), these are the good involutions, by their definition.
 
     Each pair (p1, p2) asks for f(p1(x)) = p2(f(x)); with `involutive`
-    each assignment a -> b also asks for b -> a.  The candidate images of x
+    each assignment a -> b also asks for b -> a.  With tables, p1 and p2
+    must each be an automorphism of its table, as (phi, phi) is, or a good
+    involution of it, as (rho1, rho2) is; without tables they may be any
+    permutations.  The candidate images of x
     are `candidates[x]` as given, or else the v whose column c -> c * v has
     the cycle type of x's (preserved by any isomorphism; on a group table it
     is the element order) and that each pair's p2 fixes exactly when its p1
@@ -353,6 +356,18 @@ def _iso_search(
     all mapped x and y.  So each assignment succeeds exactly when checking
     every pair of mapped elements would let it, and the tree is the same,
     at O(nk) checks per completed map for k generators instead of O(n^2).
+
+    With tables, only a generator's assignment a -> b pushes the pair's
+    image (p1(a), p2(b)); without them every element is a generator.  That
+    is exact under the precondition above.  Induction on the left-normed
+    form y = w * g gives f(p1(y)) = p2(f(y)) for every mapped y, with
+    p1(y) mapped, from the same at w and at the generator g: an
+    automorphism has p1(w * g) = p1(w) * p1(g), and p1(g) is mapped since
+    g pushed it; a good involution has p1(w * g) = p1(w) * g (rho(x * y) =
+    rho(x) * y).  As f preserves the operation on the mapped elements and
+    p2 has the same property in its table, f(p1(w * g)) = p2(f(w)) * p2(f(g)),
+    or p2(f(w)) * f(g), which is p2(f(w * g)).  So the mapped set and each
+    assignment's outcome are those that pushing every element's pair gives.
     The closure is the same in any processing order, so the search tree
     does not depend on it.  Passing the same table object twice marks a
     self-search, whose column data is computed once.
@@ -410,8 +425,9 @@ def _iso_search(
             done.append(a)
             if involutive:
                 stack.append((b, a))
-            for p1, p2 in pairs:
-                stack.append((p1[a], p2[b]))
+            if generator:
+                for p1, p2 in pairs:
+                    stack.append((p1[a], p2[b]))
             if op1 is None:
                 continue
             row1, row2 = op1[a], op2[b]
@@ -505,7 +521,11 @@ def enumerate_automorphisms(
 def centralizer_in_aut(
     group: FiniteGroup, phi: GroupAutomorphism, budget: int | None = None
 ) -> list[GroupAutomorphism]:
-    """Automorphisms commuting with phi, a subgroup containing id and phi."""
+    """Automorphisms commuting with phi, a subgroup containing id and phi.
+
+    The search's pair (phi, phi) must be an automorphism of the table, as a
+    GroupAutomorphism promises, since pairs are pushed at generators only.
+    """
     _check_same_group(group, phi)
     table = group.product
     found = _iso_search(

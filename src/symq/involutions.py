@@ -8,7 +8,7 @@ The enumerator here is the package's independent oracle: classification
 shortcuts are always cross-checked against it, never substituted for it.
 It runs the package's one backtracking search on the definition itself:
 involutive bijections whose images meet the column condition and that
-commute with every column x -> x^y.  The brute-force classes come from a
+commute with the columns x -> x^y of a generating set, and so with all.  The brute-force classes come from a
 union-find over the oracle's list, joined by exhaustive isomorphism searches
 and by the conjugates of the roots not yet reached under each witness found.
 Exact cuts keep those searches small without changing a class.  Each
@@ -46,6 +46,7 @@ from .groups import (
 from .quandles import (
     FiniteQuandle,
     QuandleMap,
+    _generating_set,
     galex,
     inner_orbits,
     is_kei,
@@ -155,13 +156,17 @@ def is_good_involution(q: FiniteQuandle, rho: Sequence[int]) -> bool:
     return check_good_involution(q, rho) is None
 
 
-def symmetric_quandle(q: FiniteQuandle, rho: Sequence[int]) -> SymmetricQuandle:
-    p = perms.as_permutation(rho, q.order)
-    violation = check_good_involution(q, p)
+def _require_good_involution(q: FiniteQuandle, rho: Sequence[int]) -> None:
+    violation = check_good_involution(q, rho)
     if violation is not None:
         raise MalformedPermutation(
             f"not a good involution: {violation.condition} fails at {violation.witness}"
         )
+
+
+def symmetric_quandle(q: FiniteQuandle, rho: Sequence[int]) -> SymmetricQuandle:
+    p = perms.as_permutation(rho, q.order)
+    _require_good_involution(q, p)
     return SymmetricQuandle(quandle=q, rho=p)
 
 
@@ -172,19 +177,27 @@ def _good_involutions(q: FiniteQuandle, budget: SearchBudget) -> list[tuple[int,
 
     The search takes no table: each y's candidates are the elements whose
     column equals y's inverse column (the column condition), and each
-    distinct non-identity column is an intertwined pair (equivariance).
-    Every pair that propagating an assignment through the table would imply
-    is one of these column pairs, since the images meet the column
-    condition, so the table would prune nothing more.
+    distinct non-identity column of a generating set is an intertwined pair
+    (equivariance).  The y whose column S_y commutes with rho form a
+    subquandle, since S_(x ^ y) = S_y . S_x . S_y^-1, so when it holds the
+    generators it is all of q.  The search pushes each pair at every
+    element, so an assignment's closure is its orbit under the group the
+    pairs generate, Inn(q) either way: the tree and the node count are
+    those that passing every column gives.  Every pair that propagating an
+    assignment through the table would imply is one of the column pairs,
+    since the images meet the column condition, so the table would prune
+    nothing more.
     """
+    columns = tuple(zip(*q.op))
     by_column: dict[tuple[int, ...], list[int]] = {}
-    for z, column in enumerate(zip(*q.op)):
+    for z, column in enumerate(columns):
         by_column.setdefault(column, []).append(z)
-    identity = perms.identity_perm(q.order)
+    pairs = dict.fromkeys(columns[y] for y in _generating_set(q))
+    pairs.pop(perms.identity_perm(q.order), None)
     return _iso_search(
         find_all=True,
         budget=budget,
-        pairs=[(column, column) for column in by_column if column != identity],
+        pairs=[(column, column) for column in pairs],
         candidates=[by_column.get(column, ()) for column in zip(*q.inv_op)],
         involutive=True,
     )
@@ -235,10 +248,15 @@ def symmetric_quandle_isomorphic(
     """First op-preserving bijection intertwining the two involutions, if any.
 
     Absence is conclusive: the underlying search is exhaustive (up to its
-    node budget, which raises rather than silently truncating).
+    node budget, which raises rather than silently truncating).  The search
+    is exact only for good involutions, and a SymmetricQuandle can be built
+    without `symmetric_quandle`'s check, so both involutions are checked
+    here and MalformedPermutation names the first failure.
     """
     if a.quandle.order != b.quandle.order:
         return None
+    _require_good_involution(a.quandle, a.rho)
+    _require_good_involution(b.quandle, b.rho)
     tracker = SearchBudget(budget)
     found = _iso_search(
         a.quandle.op,

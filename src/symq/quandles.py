@@ -161,6 +161,45 @@ def inner_orbits(q: FiniteQuandle) -> OrbitPartition:
     return orbits_under(tuple(zip(*q.op)), q.order)
 
 
+def _generating_set(q: FiniteQuandle) -> tuple[int, ...]:
+    """Greedy ascending generators of q: y joins when the subquandle that the
+    earlier ones generate misses it.
+
+    The subquandle a set A generates is A's orbit under A's columns
+    S_a: c -> c ^ a.  That orbit is closed under ^, since z = s(a) for s in
+    the group they generate gives S_z = s . S_a . s^-1, and under ^-1, since
+    a column's inverse is a power of it.  One walk list holds the orbit and
+    each generator keeps a cursor into it, so every generator maps every
+    walked element once: O(nk) in all for k generators.
+    """
+    op = q.op
+    seen = [False] * q.order
+    walk: list[int] = []
+    gens: list[int] = []
+    cursors: list[int] = []
+    for y in range(q.order):
+        if seen[y]:
+            continue
+        seen[y] = True
+        walk.append(y)
+        gens.append(y)
+        cursors.append(0)
+        grew = True
+        while grew:  # until every cursor stands at the walk's end
+            grew = False
+            for i, g in enumerate(gens):
+                c = cursors[i]
+                while c < len(walk):  # the walk grows as it goes
+                    z = op[walk[c]][g]
+                    c += 1
+                    if not seen[z]:
+                        seen[z] = True
+                        walk.append(z)
+                        grew = True
+                cursors[i] = c
+    return tuple(gens)
+
+
 def is_connected(q: FiniteQuandle) -> bool:
     return inner_orbits(q).count == 1
 

@@ -11,6 +11,8 @@ tests can check the package's per-orbit values and closure walk against
 them.
 `galex_tables` computes a twisted-conjugation quandle cell by cell from
 its defining formula, for tests to compare the package's row gathers with.
+`generated_subquandle` closes a set under both operations by multiplying
+every pair, for tests to check the package's generating-set walk with.
 PSL(2,7) is built here, from its Moebius maps, because no group spec names
 it.  `run_with_exact_budget` pins the nodes a search spends.
 """
@@ -165,6 +167,18 @@ def galex_tables(
         tuple(p[p[finv[x]][finv[ginv[y]]]][y] for y in cells) for x in cells
     )
     return op, inv_op
+
+
+def generated_subquandle(q: symq.FiniteQuandle, members) -> set[int]:
+    """The smallest set holding `members` and closed under ^ and ^-1."""
+    closed = set(members)
+    while True:
+        new = {
+            table[x][y] for table in (q.op, q.inv_op) for x in closed for y in closed
+        } - closed
+        if not new:
+            return closed
+        closed |= new
 
 
 def all_transvections(n: int) -> list[Transvection]:

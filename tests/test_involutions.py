@@ -229,6 +229,20 @@ def test_different_orders_never_isomorphic(r3, q5):
     assert symq.symmetric_quandle_isomorphic(a, b) is None
 
 
+def test_isomorphic_refuses_a_hand_built_involution_that_is_not_good(r3, r4):
+    # the search pushes the pair at generators only, which is exact for good
+    # involutions alone; a SymmetricQuandle is built here without the check
+    good = symq.symmetric_quandle(r3, (0, 1, 2))
+    swap = symq.SymmetricQuandle(quandle=r3, rho=(0, 2, 1))
+    assert symq.check_good_involution(r3, swap.rho) is not None
+    for a, b in [(good, swap), (swap, good)]:
+        with pytest.raises(errors.MalformedPermutation, match="not a good involution"):
+            symq.symmetric_quandle_isomorphic(a, b)
+    shift = symq.SymmetricQuandle(quandle=r4, rho=(1, 2, 3, 0))
+    with pytest.raises(errors.MalformedPermutation, match="involution fails"):
+        symq.symmetric_quandle_isomorphic(shift, shift)
+
+
 def test_symmetric_quandle_stores_the_validated_permutation(r3):
     a = symq.symmetric_quandle(r3, ["0", "1", "2"])
     assert a.rho == (0, 1, 2)

@@ -10,8 +10,9 @@ from symq import errors
 from symq.budget import SearchBudget
 from symq.perms import compose, invert
 from symq.groups import FiniteGroup, GroupAutomorphism, _iso_search
+from symq.quandles import _generating_set
 
-from reference import galex_tables, run_with_exact_budget
+from reference import galex_tables, generated_subquandle, run_with_exact_budget
 
 
 def r3_table():
@@ -183,6 +184,45 @@ def test_connectivity_is_isomorphism_invariant(r3, r4, q5):
     for q1, q2 in [(r3, r4), (r3, q5), (r4, q5)]:
         if symq.quandle_isomorphisms(q1, q2, find_all=False):
             assert symq.is_connected(q1) == symq.is_connected(q2)
+
+
+def _checked_generating_set(q):
+    """The greedy generating set, checked against closures by brute force:
+    it generates q, and y is a generator exactly when the generators below
+    y miss it."""
+    gens = _generating_set(q)
+    assert list(gens) == sorted(gens)
+    # closure of each prefix; the generators below y are a prefix
+    prefixes = [generated_subquandle(q, gens[:i]) for i in range(len(gens) + 1)]
+    assert prefixes[-1] == set(range(q.order))
+    for y in range(q.order):
+        below = sum(g < y for g in gens)
+        assert (y in gens) == (y not in prefixes[below]), y
+    return gens
+
+
+def test_generating_set_of_trivial_quandles():
+    # every subquandle of a trivial quandle is its own set
+    assert _checked_generating_set(symq.validate_quandle([[0]])) == (0,)
+    trivial = symq.validate_quandle([[x] * 5 for x in range(5)])
+    assert _checked_generating_set(trivial) == (0, 1, 2, 3, 4)
+
+
+def test_generating_set_of_r4(r4):
+    # inner orbits {0, 2} and {1, 3}: 0 alone generates {0}, and 0 ^ 1 = 2,
+    # 1 ^ 0 = 3
+    assert [set(o) for o in symq.inner_orbits(r4).orbits] == [{0, 2}, {1, 3}]
+    assert _checked_generating_set(r4) == (0, 1)
+
+
+def test_generating_set_of_an_a5_connected_kei(a5_connected_keis):
+    # greedy ascending is not minimal: six generators, though their columns
+    # take only four of the kei's ten distinct values
+    _, q = a5_connected_keis[0]
+    gens = _checked_generating_set(q)
+    columns = tuple(zip(*q.op))
+    assert len(gens) == 6
+    assert (len({columns[y] for y in gens}), len(set(columns))) == (4, 10)
 
 
 # -- isomorphism search ------------------------------------------------------------------
