@@ -8,9 +8,10 @@ The enumerator here is the package's independent oracle: classification
 shortcuts are always cross-checked against it, never substituted for it.
 It runs the package's one backtracking search on the definition itself:
 involutive bijections whose images meet the column condition and that
-commute with the columns x -> x^y of a generating set, and so with all.  The brute-force classes come from a
-union-find over the oracle's list, joined by exhaustive isomorphism searches
-and by the conjugates of the roots not yet reached under each witness found.
+commute with the columns x -> x^y of a generating set, and so with all.
+The brute-force classes come from a union-find over the oracle's list,
+joined by exhaustive isomorphism searches and by the conjugates of the
+roots not yet reached under each witness found.
 Exact cuts keep those searches small without changing a class.  Each
 element gets values under rho that any isomorphism carries along, so pairs
 are searched only when the multisets of values agree, and an element is
@@ -181,12 +182,12 @@ def _good_involutions(q: FiniteQuandle, budget: SearchBudget) -> list[tuple[int,
     (equivariance).  The y whose column S_y commutes with rho form a
     subquandle, since S_(x ^ y) = S_y . S_x . S_y^-1, so when it holds the
     generators it is all of q.  The search pushes each pair at every
-    element, so an assignment's closure is its orbit under the group the
-    pairs generate, Inn(q) either way: the tree and the node count are
-    those that passing every column gives.  Every pair that propagating an
-    assignment through the table would imply is one of the column pairs,
-    since the images meet the column condition, so the table would prune
-    nothing more.
+    element, so an assignment's closure is its orbit under the swap and the
+    group the pairs generate, which is Inn(q) either way: the tree and the
+    node count are those that passing every column gives.  Every pair that
+    propagating an assignment through the table would imply is one that
+    the column pairs imply, since the images meet the column condition, so
+    the table would prune nothing more.
     """
     columns = tuple(zip(*q.op))
     by_column: dict[tuple[int, ...], list[int]] = {}
