@@ -67,11 +67,10 @@ def catalog_family(
     max_order: int, include_extras: bool = False
 ) -> list[tuple[str, FiniteGroup]]:
     """Deterministic (label, group) list for the sweep, ascending by order."""
-    if max_order > MAX_BUILT_ORDER:
-        raise UnsupportedOrder(
-            f"catalog max order {max_order} is above "
-            f"the build cap of {MAX_BUILT_ORDER}"
-        )
+    if not 1 <= max_order <= MAX_BUILT_ORDER:
+        cap = f"above the build cap of {MAX_BUILT_ORDER}"
+        bound = "below 1" if max_order < 1 else cap
+        raise UnsupportedOrder(f"catalog max order {max_order} is {bound}")
     labels: list[str] = []
     for order in range(1, max_order + 1):
         labels.extend(_abelian_spec(chain) for chain in abelian_invariant_chains(order))

@@ -26,6 +26,7 @@ from .errors import (
     NotAssociative,
     NotBijective,
     NotMultiplicative,
+    SearchBudgetExceeded,
     UnsupportedOrder,
 )
 
@@ -325,37 +326,44 @@ def _iso_search(
     column condition as candidates and each column as the pair (column,
     column), these are the good involutions, by their definition.
 
-    Each pair (p1, p2) asks for f(p1(x)) = p2(f(x)); with `involutive`
-    each assignment a -> b also asks for b -> a.  With tables, p1 and p2
-    must each be an automorphism of its table, as (phi, phi) is, or a good
+    Each pair (p1, p2) asks for f(p1(x)) = p2(f(x)); with `involutive` each
+    assignment a -> b also asks for b -> a.  With tables, p1 and p2 must
+    each be an automorphism of its table, as (phi, phi) is, or a good
     involution of it, as (rho1, rho2) is; without tables they may be any
-    permutations.  The candidate images of x
-    are `candidates[x]` as given, or else the v whose column c -> c * v has
-    the cycle type of x's (preserved by any isomorphism; on a group table it
-    is the element order) and that each pair's p2 fixes exactly when its p1
-    fixes x.  Variables are assigned in ascending element order with
-    ascending candidate values, so results come out in lexicographic order
-    and a self-search always reports the identity first.  One budget node
-    is charged per candidate tried.  The levels are frames on an explicit
-    stack, so depth n is bounded in memory, not by the recursion limit.
+    permutations.  The candidate images of x are `candidates[x]` as given,
+    or else the v whose column c -> c * v has the cycle type of x's
+    (preserved by any isomorphism; on a group table it is the element order)
+    and that each pair's p2 fixes exactly when its p1 fixes x.  Variables
+    are assigned in ascending element order with ascending candidate values,
+    so results come out in lexicographic order and a self-search always
+    reports the identity first.  One budget node is charged per candidate
+    tried, counted locally and added to `budget` on exit, so the search
+    raises where `budget.spend` would and leaves `used` one past the limit.
+    One frame loop makes every step: the levels are frames on an explicit
+    stack, so depth n is bounded in memory, not by the recursion limit, and
+    each candidate rolls back to the state before its level's branch before
+    it is tried.
 
     The tables are both groups or both quandles.  An element whose image
     comes from the branch, a pair or the swap is a generator; one whose
     image comes from an edge t -> t * g, for a mapped t and a generator g,
-    is not.  A generator's assignment a -> b implies f(c * a) = f(c) * b
-    and f(a * c) = b * f(c) for every mapped c, a included; any other
-    implies f(a * g) = b * f(g) for every generator g.  An implied pair
-    whose left side already has an image is checked in place; the others
-    are mapped in turn.  The mapped elements are then those the generators
-    generate, as a quandle or a group: each is a left-normed product
-    g0 * g1 * ... * gk of generators (a quandle's x *^-1 g is
-    x * g * ... * g, as g's column has finite order; a group's products
-    regroup by associativity).  Induction on that form of y, with right
-    self-distributivity, or associativity, in both tables, turns
-    f(t * g) = f(t) * f(g) on every edge into f(x * y) = f(x) * f(y) for
-    all mapped x and y.  So each assignment succeeds exactly when checking
-    every pair of mapped elements would let it, and the tree is the same,
-    at O(nk) checks per completed map for k generators instead of O(n^2).
+    is not.  A generator's assignment a -> b implies f(c * a) = f(c) * b and
+    f(a * c) = b * f(c) for every mapped c, a included; any other implies
+    f(a * g) = b * f(g) for every generator g.  An implied pair whose left
+    side already has that image is dropped in place; the others are mapped
+    in turn, and one sure to fail is pushed last, so that the next pop fails
+    the assignment.  With `involutive`, the swap b -> a of a -> b is pushed
+    only when b has no image (not for a -> a, nor for an image from the
+    swap).  The mapped elements are then those the generators generate, as a
+    quandle or a group: each is a left-normed product g0 * g1 * ... * gk of
+    generators (a quandle's x *^-1 g is x * g * ... * g, as g's column has
+    finite order; a group's products regroup by associativity).  Induction
+    on that form of y, with right self-distributivity, or associativity, in
+    both tables, turns f(t * g) = f(t) * f(g) on every edge into f(x * y) =
+    f(x) * f(y) for all mapped x and y.  So each assignment succeeds exactly
+    when checking every pair of mapped elements would let it, and the tree
+    is the same, at O(nk) checks per completed map for k generators instead
+    of O(n^2).
 
     With tables, only a generator's assignment a -> b pushes the pair's
     image (p1(a), p2(b)); without them every element is a generator.  That
@@ -399,112 +407,106 @@ def _iso_search(
             candidates.append(options)
     if not all(candidates):
         return []
-    cand = [tuple(options) for options in candidates]
-    cand_sets = [frozenset(c) for c in cand]
+    cand_sets = [frozenset(c) for c in candidates]
 
+    if n == 0:
+        return [()]  # the empty map
     img = [-1] * n
     used = [False] * n
     done: list[int] = []  # the elements with an image, in assignment order
     gens: list[int] = []  # the mapped generators, in assignment order
+    stack = []  # images from the branch, a pair or the swap
+    edges = []  # images from an edge t -> t * g, taken first
     results: list[tuple[int, ...]] = []
-
-    def assign(x: int, v: int) -> bool:
-        stack = [(x, v)]  # images from the branch, a pair or the swap
-        edges = []  # images from an edge t -> t * g, taken first
-        while edges or stack:
-            generator = not edges
-            a, b = stack.pop() if generator else edges.pop()
-            if img[a] >= 0:
-                if img[a] != b:
-                    return False
-                continue
-            if used[b] or b not in cand_sets[a]:
-                return False
-            img[a] = b
-            used[b] = True
-            done.append(a)
-            if involutive:
-                stack.append((b, a))
-            if generator:
-                for p1, p2 in pairs:
-                    stack.append((p1[a], p2[b]))
-            if op1 is None:
-                continue
-            row1, row2 = op1[a], op2[b]
-            if not generator:
-                # a checks its edges t -> t * g out
-                for g in gens:
-                    t, u = row1[g], row2[img[g]]
-                    it = img[t]
-                    if it < 0:
-                        if used[u]:
-                            return False
-                        edges.append((t, u))
-                    elif it != u:
-                        return False
-                continue
-            # a generator checks the edges c -> c * a out of every mapped c,
-            # a included, and a -> a * c into the bargain, so one pass over
-            # the mapped elements also covers a's edges out
-            gens.append(a)
-            col1, col2 = cols1[a], cols2[b]
-            for c in done:
-                ic = img[c]
-                t, u = row1[c], row2[ic]
-                it = img[t]
-                if it < 0:
-                    if used[u]:
-                        return False
-                    edges.append((t, u))
-                elif it != u:
-                    return False
-                t, u = col1[c], col2[ic]
-                it = img[t]
-                if it < 0:
-                    if used[u]:
-                        return False
-                    edges.append((t, u))
-                elif it != u:
-                    return False
-        return True
-
-    def undo(mark: int) -> None:
-        while len(done) > mark:
-            a = done.pop()
-            used[img[a]] = False
-            img[a] = -1
-        # the generators that lost their image are the last ones
-        while gens and img[gens[-1]] < 0:
-            gens.pop()
-
-    if n == 0:
-        return [()]  # the empty map
     # a frame is (x, x's candidate iterator, len(done) before x's branch);
     # the frames of the levels above x wait on the stack
     frames = []
-    x, options, mark = 0, iter(cand[0]), 0
-    while True:
-        for v in options:
-            if used[v]:
-                continue
-            budget.spend()
-            if assign(x, v):
-                y = x + 1
-                while y < n and img[y] >= 0:
-                    y += 1
-                if y < n:
-                    frames.append((x, options, mark))
-                    x, options, mark = y, iter(cand[y]), len(done)
-                    break
-                results.append(tuple(img))
-                if not find_all:
+    x, options, mark = 0, iter(candidates[0]), 0
+    nodes, room = 0, budget.limit - budget.used
+    try:
+        while True:
+            for v in options:
+                if len(done) > mark:
+                    # roll back to the state before x's branch
+                    for a in done[mark:]:
+                        used[img[a]] = False
+                        img[a] = -1
+                    del done[mark:]
+                    # the generators that lost their image are the last ones
+                    while gens and img[gens[-1]] < 0:
+                        gens.pop()
+                if used[v]:
+                    continue
+                nodes += 1
+                if nodes > room:
+                    raise SearchBudgetExceeded(budget.limit)
+                # assign x -> v and all it implies; a failed check breaks out
+                a, b, generator = x, v, True
+                while a >= 0:
+                    ia = img[a]
+                    if ia < 0:
+                        if used[b] or b not in cand_sets[a]:
+                            break
+                        img[a] = b
+                        used[b] = True
+                        done.append(a)
+                        if involutive:
+                            ib = img[b]
+                            if ib < 0:
+                                stack.append((b, a))
+                            elif ib != a:
+                                break
+                        if generator:
+                            for p1, p2 in pairs:
+                                stack.append((p1[a], p2[b]))
+                        if op1 is not None:
+                            # a generator checks c -> c * a and a -> a * c for
+                            # every mapped c, any other a its edges a -> a * g
+                            row1, row2 = op1[a], op2[b]
+                            if generator:
+                                gens.append(a)
+                                col1, col2 = cols1[a], cols2[b]
+                            for c in done if generator else gens:
+                                ic = img[c]
+                                t, u = row1[c], row2[ic]
+                                it = img[t]
+                                if it != u:
+                                    edges.append((t, u))
+                                    if it >= 0 or used[u]:
+                                        break
+                                if generator:
+                                    t, u = col1[c], col2[ic]
+                                    it = img[t]
+                                    if it != u:
+                                        edges.append((t, u))
+                                        if it >= 0 or used[u]:
+                                            break
+                    elif ia != b:
+                        break
+                    work = edges or stack
+                    generator = work is stack
+                    a, b = work.pop() if work else (-1, -1)
+                else:
+                    # every implied image holds: open the next level
+                    y = x + 1
+                    while y < n and img[y] >= 0:
+                        y += 1
+                    if y < n:
+                        frames.append((x, options, mark))
+                        x, options, mark = y, iter(candidates[y]), len(done)
+                        break
+                    results.append(tuple(img))
+                    if not find_all:
+                        return results
+                    continue
+                stack.clear()
+                edges.clear()
+            else:
+                if not frames:
                     return results
-            undo(mark)
-        else:
-            if not frames:
-                return results
-            x, options, mark = frames.pop()
-            undo(mark)
+                x, options, mark = frames.pop()
+    finally:
+        budget.used += nodes
 
 
 # -- automorphism lists, fixed elements and orbits --------------------------------
@@ -523,10 +525,11 @@ def centralizer_in_aut(
 ) -> list[GroupAutomorphism]:
     """Automorphisms commuting with phi, a subgroup containing id and phi.
 
-    The search's pair (phi, phi) must be an automorphism of the table, as a
-    GroupAutomorphism promises, since pairs are pushed at generators only.
+    The search pushes (phi, phi) at generators only, which is exact only for
+    an automorphism, so phi, a plain container, is validated first.
     """
     _check_same_group(group, phi)
+    validate_automorphism(group, phi.perm)
     table = group.product
     found = _iso_search(
         table, table, find_all=True, budget=SearchBudget(budget),

@@ -258,12 +258,8 @@ def symmetric_quandle_isomorphic(
         return None
     _require_good_involution(a.quandle, a.rho)
     _require_good_involution(b.quandle, b.rho)
-    tracker = SearchBudget(budget)
     found = _iso_search(
-        a.quandle.op,
-        b.quandle.op,
-        find_all=False,
-        budget=tracker,
+        a.quandle.op, b.quandle.op, find_all=False, budget=SearchBudget(budget),
         pairs=[(a.rho, b.rho)],
     )
     if not found:
@@ -271,27 +267,13 @@ def symmetric_quandle_isomorphic(
     return QuandleMap(source=a.quandle, target=b.quandle, perm=found[0])
 
 
-# a union-find over the involution list's indices, for the partition below
-def _root(parent: list[int], x: int) -> int:
-    while parent[x] != x:
-        parent[x] = parent[parent[x]]
-        x = parent[x]
-    return x
-
-
-def _join(parent: list[int], x: int, y: int) -> None:
-    """Merge the blocks of x and y; a root is always its block's smallest member."""
-    rx, ry = _root(parent, x), _root(parent, y)
-    if rx != ry:
-        parent[max(rx, ry)] = min(rx, ry)
-
-
 def _blocks(parent: list[int]) -> tuple[tuple[int, ...], ...]:
-    """The blocks as ascending tuples, ordered by smallest member."""
+    """The blocks as ascending tuples, ordered by smallest member.  No parent
+    exceeds its child, so ascending x finds its parent pointing at the root."""
     blocks: dict[int, list[int]] = {}
-    # ascending x meets each block first at its smallest member
-    for x in range(len(parent)):
-        blocks.setdefault(_root(parent, x), []).append(x)
+    for x, p in enumerate(parent):
+        root = parent[x] = parent[p]
+        blocks.setdefault(root, []).append(x)
     return tuple(tuple(members) for members in blocks.values())
 
 
@@ -339,7 +321,9 @@ def _partition_by_isomorphism(
     A witness f joining root i to a representative is also applied as a
     conjugation f . rho . f^-1 to the open roots: those past i that are
     still their own root, one node each.  That links far more pairs than
-    the single search that produced it.  A root left open is searched
+    the single search that produced it.  The conjugates are built in one
+    batch and joined by path halving, the larger root pointing at the
+    smaller, so no parent exceeds its child.  A root left open is searched
     against every representative with its key when the loop reaches it,
     and the searches are exhaustive, so a failure against all of them is
     conclusive however much the witnesses linked.
@@ -389,19 +373,31 @@ def _partition_by_isomorphism(
             )
             if not found:
                 continue
-            _join(parent, r, i)
+            # r, the smallest member of its isomorphism class, is still a
+            # root: every join links isomorphic involutions
+            parent[i] = r
             open_roots = [j for j in open_roots if j > i and parent[j] == j]
             budget.spend(len(open_roots))
             # f . p . f^-1, each step an itemgetter call that builds the tuple in C
             f = found[0]
             after_inverse = itemgetter(*perms.invert(f))
-            for j in open_roots:
-                k = index.get(itemgetter(*after_inverse(rhos[j]))(f))
-                if k is None:
-                    raise InternalConsistencyError(
-                        "conjugate of a good involution is missing from the oracle list"
-                    )
-                _join(parent, j, k)
+            conjugates = [
+                index.get(itemgetter(*after_inverse(rhos[j]))(f)) for j in open_roots
+            ]
+            if None in conjugates:
+                raise InternalConsistencyError(
+                    "conjugate of a good involution is missing from the oracle list"
+                )
+            for j, k in zip(open_roots, conjugates):
+                while parent[j] != j:
+                    parent[j] = parent[parent[j]]
+                    j = parent[j]
+                while parent[k] != k:
+                    parent[k] = parent[parent[k]]
+                    k = parent[k]
+                if k < j:
+                    j, k = k, j
+                parent[k] = j
             break
         else:
             bucket.append((i, values))

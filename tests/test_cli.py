@@ -355,6 +355,13 @@ def test_catalog_above_build_cap_fails_before_building(capsys):
     assert err == "error: catalog max order 1025 is above the build cap of 1024\n"
 
 
+@pytest.mark.parametrize("max_order", [0, -3])
+def test_catalog_below_order_one_fails(capsys, max_order):
+    code, out, err = run(capsys, "catalog", "--max-order", str(max_order))
+    assert code == 1 and out == ""
+    assert err == f"error: catalog max order {max_order} is below 1\n"
+
+
 # -- torus ------------------------------------------------------------------------------
 
 

@@ -273,6 +273,39 @@ def test_budget_exhaustion():
         symq.enumerate_automorphisms(g, budget=5)
 
 
+def test_search_charges_the_candidates_it_tries():
+    # Aut(S3) with find_all=False: 0 -> 0, 1 -> 1, then 2 -> 1 is skipped
+    # as used, which costs nothing, and 2 -> 2 completes the identity
+    table = symq.symmetric_group(3).product
+    budget = SearchBudget()
+    found = _iso_search(table, table, find_all=False, budget=budget)
+    assert found == [tuple(range(6))] and budget.used == 3
+    # a second search on the same budget adds its nodes to the first's
+    alone = SearchBudget()
+    assert len(_iso_search(table, table, find_all=True, budget=alone)) == 6
+    _iso_search(table, table, find_all=True, budget=budget)
+    assert budget.used == 3 + alone.used
+
+
+def test_search_out_of_budget_leaves_one_node_past_the_limit():
+    # the search counts its nodes locally and writes them back on exit: one
+    # that runs out has charged the node that crossed the limit, as
+    # SearchBudget.spend does, also when an earlier search spent part of it
+    table = symq.symmetric_group(3).product
+    nodes = SearchBudget()
+    _iso_search(table, table, find_all=True, budget=nodes)
+    for limit in range(nodes.used):
+        for spent in (0, limit // 2):
+            budget = SearchBudget(limit)
+            budget.spend(spent)
+            with pytest.raises(errors.SearchBudgetExceeded):
+                _iso_search(table, table, find_all=True, budget=budget)
+            assert budget.used == limit + 1
+    budget = SearchBudget(nodes.used)
+    _iso_search(table, table, find_all=True, budget=budget)
+    assert budget.used == budget.limit
+
+
 # -- centralizer ------------------------------------------------------------------
 
 
@@ -285,6 +318,16 @@ def test_centralizer_of_inversion(z4):
 def test_centralizer_of_identity_is_everything(klein):
     ident = symq.identity_automorphism(klein)
     assert len(symq.centralizer_in_aut(klein, ident)) == 6
+
+
+def test_centralizer_refuses_a_hand_built_non_automorphism():
+    # (0 1 2 4 5 3) fixes S3's identity and transpositions and is a
+    # bijection, but not multiplicative; the search, which pushes its pair at
+    # generators only, would list two maps where the filter finds one
+    g = symq.symmetric_group(3)
+    phi = symq.GroupAutomorphism(group=g, perm=(0, 1, 2, 4, 5, 3))
+    with pytest.raises(errors.NotMultiplicative):
+        symq.centralizer_in_aut(g, phi)
 
 
 def _centralizer_by_filter(auts, phi):

@@ -2,6 +2,7 @@ import gc
 import hashlib
 import sys
 from collections import Counter
+from itertools import permutations
 
 import pytest
 from hypothesis import given, settings
@@ -446,6 +447,50 @@ def test_oracle_node_total_over_catalog_family_9():
     for q in tables.values():
         _good_involutions(q, budget)
     assert (len(tables), budget.used) == (277, 9_847)
+
+
+def test_partition_membership_pinned(a5_connected_keis):
+    # sha256 over the involution list and the brute-force classes of every
+    # distinct table of catalog_family(9), then the 25 A5 connected keis,
+    # then the disconnected S4 kei of test_bruteforce_node_count_disconnected_s4_kei.
+    # Reports carry only the class count, so this pins which involutions
+    # each class holds
+    tables = {}
+    for _, g in symq.catalog_family(9):
+        for phi in symq.enumerate_automorphisms(g):
+            q = symq.galex(g, phi)
+            tables.setdefault(q.op, q)
+    quandles = [*tables.values(), *(q for _, q in a5_connected_keis)]
+    s4 = symq.symmetric_group(4)
+    c = sorted(permutations(range(4))).index((1, 0, 3, 2))
+    phi = symq.validate_automorphism(
+        s4, [s4.product[s4.product[c][x]][c] for x in range(s4.order)]
+    )
+    quandles.append(symq.galex(s4, phi))
+    digest = hashlib.sha256()
+    for q in quandles:
+        result = symq.classify_sq_bruteforce(q)
+        digest.update(repr((result.good_involutions, result.classes_bruteforce)).encode())
+    assert len(quandles) == 303
+    assert digest.hexdigest() == (
+        "7540ebe7c1894dbe8027f7f4aa47d3e85b084713aede884e05daf7374a3d9678"
+    )
+
+
+def test_analyze_budget_outcome_at_the_trivial_order_8_pin():
+    # the partition of the order-8 trivial table, oracle included, spends
+    # 3,023 nodes; one node fewer gives outcome "budget" and no route fields
+    from symq.involutions import _analyze
+
+    g = symq.cyclic_group(8)
+    q = symq.galex(g, symq.identity_automorphism(g))
+    routes = dict(oracle=True, classify=True)
+    short = _analyze(q, SearchBudget(3_022), **routes)
+    assert short.outcome == "budget" and short.good_involutions is None
+    budget = SearchBudget(3_023)
+    full = _analyze(q, budget, **routes)
+    assert full.outcome == "ok" and full.bruteforce_count == 5
+    assert budget.used == 3_023
 
 
 def test_reuse_charges_the_recorded_nodes(klein):
