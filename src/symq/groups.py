@@ -337,12 +337,11 @@ def _iso_search(
     are assigned in ascending element order with ascending candidate values,
     so results come out in lexicographic order and a self-search always
     reports the identity first.  One budget node is charged per candidate
-    tried, counted locally and added to `budget` on exit, so the search
-    raises where `budget.spend` would and leaves `used` one past the limit.
-    One frame loop makes every step: the levels are frames on an explicit
-    stack, so depth n is bounded in memory, not by the recursion limit, and
-    each candidate rolls back to the state before its level's branch before
-    it is tried.
+    tried, counted in a local and added to `budget` on exit, so it runs out
+    where `budget.spend` would.  One frame loop makes every step, rolling
+    back to its level's state before each candidate; the levels are frames
+    on an explicit stack, so depth n is bounded in memory, not by the
+    recursion limit.
 
     The tables are both groups or both quandles.  An element whose image
     comes from the branch, a pair or the swap is a generator; one whose

@@ -258,8 +258,12 @@ def symmetric_quandle_isomorphic(
         return None
     _require_good_involution(a.quandle, a.rho)
     _require_good_involution(b.quandle, b.rho)
+    tracker = SearchBudget(budget)
     found = _iso_search(
-        a.quandle.op, b.quandle.op, find_all=False, budget=SearchBudget(budget),
+        a.quandle.op,
+        b.quandle.op,
+        find_all=False,
+        budget=tracker,
         pairs=[(a.rho, b.rho)],
     )
     if not found:
@@ -373,8 +377,7 @@ def _partition_by_isomorphism(
             )
             if not found:
                 continue
-            # r, the smallest member of its isomorphism class, is still a
-            # root: every join links isomorphic involutions
+            # r is the smallest of its isomorphism class, so still a root
             parent[i] = r
             open_roots = [j for j in open_roots if j > i and parent[j] == j]
             budget.spend(len(open_roots))
