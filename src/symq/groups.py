@@ -326,43 +326,42 @@ def _iso_search(
     column condition as candidates and each column as the pair (column,
     column), these are the good involutions, by their definition.
 
-    Each pair (p1, p2) asks for f(p1(x)) = p2(f(x)); with `involutive` each
-    assignment a -> b also asks for b -> a.  With tables, p1 and p2 must
-    each be an automorphism of its table, as (phi, phi) is, or a good
+    Each pair (p1, p2) asks for f(p1(x)) = p2(f(x)); with `involutive`
+    each assignment a -> b also asks for b -> a.  With tables, p1 and p2
+    must each be an automorphism of its table, as (phi, phi) is, or a good
     involution of it, as (rho1, rho2) is; without tables they may be any
-    permutations.  The candidate images of x are `candidates[x]` as given,
-    or else the v whose column c -> c * v has the cycle type of x's
-    (preserved by any isomorphism; on a group table it is the element order)
-    and that each pair's p2 fixes exactly when its p1 fixes x.  Variables
-    are assigned in ascending element order with ascending candidate values,
-    so results come out in lexicographic order and a self-search always
-    reports the identity first.  One budget node is charged per candidate
-    tried, counted in a local and added to `budget` on exit, so it runs out
-    where `budget.spend` would.  One frame loop makes every step, rolling
-    back to its level's state before each candidate; the levels are frames
-    on an explicit stack, so depth n is bounded in memory, not by the
-    recursion limit.
+    permutations.  The candidate images of x
+    are `candidates[x]` as given, or else the v whose column c -> c * v has
+    the cycle type of x's (preserved by any isomorphism; on a group table it
+    is the element order) and that each pair's p2 fixes exactly when its p1
+    fixes x.  Variables are assigned in ascending element order with
+    ascending candidate values, so results come out in lexicographic order
+    and a self-search always reports the identity first.  One budget node
+    is charged per candidate tried, counted locally and added to `budget`
+    on exit.  One frame loop makes every step, undo included; its levels
+    are frames on an explicit stack, so depth n is bounded in memory, not
+    by the recursion limit.
 
     The tables are both groups or both quandles.  An element whose image
     comes from the branch, a pair or the swap is a generator; one whose
     image comes from an edge t -> t * g, for a mapped t and a generator g,
-    is not.  A generator's assignment a -> b implies f(c * a) = f(c) * b and
-    f(a * c) = b * f(c) for every mapped c, a included; any other implies
-    f(a * g) = b * f(g) for every generator g.  An implied pair whose left
-    side already has that image is dropped in place; the others are mapped
-    in turn, and one sure to fail is pushed last, so that the next pop fails
-    the assignment.  With `involutive`, the swap b -> a of a -> b is pushed
-    only when b has no image (not for a -> a, nor for an image from the
-    swap).  The mapped elements are then those the generators generate, as a
-    quandle or a group: each is a left-normed product g0 * g1 * ... * gk of
-    generators (a quandle's x *^-1 g is x * g * ... * g, as g's column has
-    finite order; a group's products regroup by associativity).  Induction
-    on that form of y, with right self-distributivity, or associativity, in
-    both tables, turns f(t * g) = f(t) * f(g) on every edge into f(x * y) =
-    f(x) * f(y) for all mapped x and y.  So each assignment succeeds exactly
-    when checking every pair of mapped elements would let it, and the tree
-    is the same, at O(nk) checks per completed map for k generators instead
-    of O(n^2).
+    is not.  A generator's assignment a -> b implies f(c * a) = f(c) * b
+    and f(a * c) = b * f(c) for every mapped c, a included; any other
+    implies f(a * g) = b * f(g) for every generator g.  An implied pair
+    whose left side already has that image is dropped in place; the others
+    are mapped in turn, and one sure to fail is pushed last, so that the
+    next pop fails the assignment.  With `involutive`, the swap b -> a of
+    a -> b is pushed only when b has no image (not for a -> a, nor for an
+    image from the swap).  The mapped elements are then those the generators
+    generate, as a quandle or a group: each is a left-normed product
+    g0 * g1 * ... * gk of generators (a quandle's x *^-1 g is
+    x * g * ... * g, as g's column has finite order; a group's products
+    regroup by associativity).  Induction on that form of y, with right
+    self-distributivity, or associativity, in both tables, turns
+    f(t * g) = f(t) * f(g) on every edge into f(x * y) = f(x) * f(y) for
+    all mapped x and y.  So each assignment succeeds exactly when checking
+    every pair of mapped elements would let it, and the tree is the same,
+    at O(nk) checks per completed map for k generators instead of O(n^2).
 
     With tables, only a generator's assignment a -> b pushes the pair's
     image (p1(a), p2(b)); without them every element is a generator.  That

@@ -2,7 +2,6 @@ import gc
 import hashlib
 import sys
 from collections import Counter
-from itertools import permutations
 
 import pytest
 from hypothesis import given, settings
@@ -16,6 +15,7 @@ from symq.perms import compose, invert
 
 from reference import (
     automorphism_orbit_classes,
+    disconnected_s4_kei,
     enumerate_good_involutions_by_filter,
     involutions,
     partition_values,
@@ -452,7 +452,7 @@ def test_oracle_node_total_over_catalog_family_9():
 def test_partition_membership_pinned(a5_connected_keis):
     # sha256 over the involution list and the brute-force classes of every
     # distinct table of catalog_family(9), then the 25 A5 connected keis,
-    # then the disconnected S4 kei of test_bruteforce_node_count_disconnected_s4_kei.
+    # then the disconnected S4 kei.
     # Reports carry only the class count, so this pins which involutions
     # each class holds
     tables = {}
@@ -461,12 +461,7 @@ def test_partition_membership_pinned(a5_connected_keis):
             q = symq.galex(g, phi)
             tables.setdefault(q.op, q)
     quandles = [*tables.values(), *(q for _, q in a5_connected_keis)]
-    s4 = symq.symmetric_group(4)
-    c = sorted(permutations(range(4))).index((1, 0, 3, 2))
-    phi = symq.validate_automorphism(
-        s4, [s4.product[s4.product[c][x]][c] for x in range(s4.order)]
-    )
-    quandles.append(symq.galex(s4, phi))
+    quandles.append(disconnected_s4_kei())
     digest = hashlib.sha256()
     for q in quandles:
         result = symq.classify_sq_bruteforce(q)

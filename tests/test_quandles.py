@@ -12,7 +12,12 @@ from symq.perms import compose, invert
 from symq.groups import FiniteGroup, GroupAutomorphism, _iso_search
 from symq.quandles import _generating_set
 
-from reference import galex_tables, generated_subquandle, run_with_exact_budget
+from reference import (
+    disconnected_s4_kei,
+    galex_tables,
+    generated_subquandle,
+    run_with_exact_budget,
+)
 
 
 def r3_table():
@@ -335,12 +340,7 @@ def test_bruteforce_node_count_disconnected_s4_kei():
     # disconnected kei with six inner orbits of four, 8,000 good involutions
     # and 253 classes.  Pairwise searches without the partition's invariants
     # and inner-orbit cut do not finish within the default 10^7 nodes
-    g = symq.symmetric_group(4)
-    c = sorted(permutations(range(4))).index((1, 0, 3, 2))
-    phi = symq.validate_automorphism(
-        g, [g.product[g.product[c][x]][c] for x in range(g.order)]
-    )
-    q = symq.galex(g, phi)
+    q = disconnected_s4_kei()
     assert symq.is_kei(q) and len(symq.inner_orbits(q).orbits) == 6
     result = run_with_exact_budget(
         30_567, lambda b: symq.classify_sq_bruteforce(q, budget=b)
