@@ -423,16 +423,17 @@ def _iso_search(
     nodes, room = 0, budget.limit - budget.used
     try:
         while True:
+            if len(done) > mark:
+                # roll back to the state before x's branch; every candidate
+                # tried breaks out of the loop below to come back here
+                for a in done[mark:]:
+                    used[img[a]] = False
+                    img[a] = -1
+                del done[mark:]
+                # the generators that lost their image are the last ones
+                while gens and img[gens[-1]] < 0:
+                    gens.pop()
             for v in options:
-                if len(done) > mark:
-                    # roll back to the state before x's branch
-                    for a in done[mark:]:
-                        used[img[a]] = False
-                        img[a] = -1
-                    del done[mark:]
-                    # the generators that lost their image are the last ones
-                    while gens and img[gens[-1]] < 0:
-                        gens.pop()
                 if used[v]:
                     continue
                 nodes += 1
@@ -481,24 +482,24 @@ def _iso_search(
                                             break
                     elif ia != b:
                         break
-                    work = edges or stack
-                    generator = work is stack
-                    a, b = work.pop() if work else (-1, -1)
+                    generator = not edges
+                    a, b = edges.pop() if edges else stack.pop() if stack else (-1, -1)
                 else:
-                    # every implied image holds: open the next level
+                    # every implied image holds: open the next level or record f
                     y = x + 1
                     while y < n and img[y] >= 0:
                         y += 1
                     if y < n:
                         frames.append((x, options, mark))
                         x, options, mark = y, iter(candidates[y]), len(done)
-                        break
-                    results.append(tuple(img))
-                    if not find_all:
-                        return results
-                    continue
+                    else:
+                        results.append(tuple(img))
+                        if not find_all:
+                            return results
+                    break
                 stack.clear()
                 edges.clear()
+                break
             else:
                 if not frames:
                     return results
