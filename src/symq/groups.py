@@ -138,13 +138,11 @@ def validate_group(product_table: Sequence[Sequence[int]]) -> FiniteGroup:
             raise NoInverse(i)
         inverse.append(j)
 
-    for i in range(n):
-        for j in range(n):
-            ij = rows[i][j]
-            row_i = rows[i]
-            for k in range(n):
-                if rows[ij][k] != row_i[rows[j][k]]:
-                    raise NotAssociative(i, j, k)
+    ident = perms.identity_perm(n)
+    for i, row in enumerate(rows):  # i(jk) = (ij)k: p is left multiplication by i
+        witness = perms.first_mismatch(rows, rows, row, ident)
+        if witness is not None:
+            raise NotAssociative(i, *witness)
 
     return FiniteGroup(
         order=n,
@@ -290,16 +288,13 @@ def validate_automorphism(
     group: FiniteGroup, perm: Sequence[int]
 ) -> GroupAutomorphism:
     """Verify bijectivity and multiplicativity of a candidate automorphism."""
-    n = group.order
     try:
-        p = perms.as_permutation(perm, n)
+        p = perms.as_permutation(perm, group.order)
     except MalformedPermutation as exc:
         raise NotBijective(str(exc)) from None
-    table = group.product
-    for i in range(n):
-        for j in range(n):
-            if p[table[i][j]] != table[p[i]][p[j]]:
-                raise NotMultiplicative(i, j)
+    witness = perms.first_mismatch(group.product, group.product, p, p)
+    if witness is not None:
+        raise NotMultiplicative(*witness)
     return GroupAutomorphism(group=group, perm=p)
 
 

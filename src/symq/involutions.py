@@ -136,20 +136,13 @@ def check_good_involution(
     for x in range(n):
         if p[p[x]] != x:
             return InvolutionViolation("involution", (x,))
-    op = q.op
-    for x in range(n):
-        row = op[x]
-        prow = op[p[x]]
-        for y in range(n):
-            if p[row[y]] != prow[y]:
-                return InvolutionViolation("equivariance", (x, y))
-    inv_op = q.inv_op
-    for x in range(n):
-        row = op[x]
-        irow = inv_op[x]
-        for y in range(n):
-            if row[p[y]] != irow[y]:
-                return InvolutionViolation("column", (x, y))
+    ident = perms.identity_perm(n)
+    witness = perms.first_mismatch(q.op, q.op, p, ident)  # rho(x ^ y) = rho(x) ^ y
+    if witness is not None:
+        return InvolutionViolation("equivariance", witness)
+    witness = perms.first_mismatch(q.inv_op, q.op, ident, p)  # x ^-1 y = x ^ rho(y)
+    if witness is not None:
+        return InvolutionViolation("column", witness)
     return None
 
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
+from operator import itemgetter
 
 from .errors import MalformedPermutation
 
@@ -42,6 +43,26 @@ def invert(perm: Sequence[int]) -> tuple[int, ...]:
 def compose(p: Sequence[int], q: Sequence[int]) -> tuple[int, ...]:
     """Composition p after q: x -> p[q[x]]."""
     return tuple(p[x] for x in q)
+
+
+def gather(indices: Sequence[int]):
+    """Map a row r to tuple(r[i] for i in indices) at C speed; itemgetter of
+    one index returns the bare item, but a one-entry row is its own gather."""
+    return itemgetter(*indices) if len(indices) > 1 else tuple
+
+
+def first_mismatch(
+    t1: Sequence[Sequence[int]], t2: Sequence[Sequence[int]],
+    p: Sequence[int], q: Sequence[int],
+) -> tuple[int, int] | None:
+    """The first (x, y), row by row, with p[t1[x][y]] != t2[p[x]][q[y]], or None:
+    the identity p(x * y) = p(x) *' q(y), checked one whole row per two gathers."""
+    by_q = gather(q)
+    for x, row in enumerate(t1):
+        lhs, rhs = gather(row)(p), by_q(t2[p[x]])
+        if lhs != rhs:
+            return x, next(y for y, (a, b) in enumerate(zip(lhs, rhs)) if a != b)
+    return None
 
 
 def cycle_type(perm: Sequence[int]) -> tuple[int, ...]:

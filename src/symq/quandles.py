@@ -8,7 +8,6 @@ is immutable once built.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import itemgetter
 from typing import Sequence
 
 from . import perms
@@ -113,35 +112,31 @@ def galex(group: FiniteGroup, phi: GroupAutomorphism) -> FiniteQuandle:
     column inverse the axioms admit.  By the associativity that every group
     constructor and `validate_group` guarantee, row x of op is row phi(x) of
     the product gathered at c_y = phi(y^-1) y, and row x of inv_op is row
-    phi^-1(x) gathered at d_y = phi^-1(y^-1) y.  Construction still checks
-    that the two tables invert each other column by column.
+    phi^-1(x) gathered at d_y = phi^-1(y^-1) y.  phi, a plain container, is
+    validated first, and the two tables are checked to invert each other
+    column by column.
     """
     _check_same_group(group, phi)
+    validate_automorphism(group, phi.perm)
     n = group.order
     p = group.product
     ginv = group.inverse
     f = phi.perm
     finv = perms.invert(f)
-    by_c = _gather([p[f[ginv[y]]][y] for y in range(n)])
-    by_d = _gather([p[finv[ginv[y]]][y] for y in range(n)])
+    by_c = perms.gather([p[f[ginv[y]]][y] for y in range(n)])
+    by_d = perms.gather([p[finv[ginv[y]]][y] for y in range(n)])
     op = tuple(by_c(p[fx]) for fx in f)
     inv_op = tuple(by_d(p[gx]) for gx in finv)
 
     # back o col = id on a finite set exactly when back is col's inverse
     identity = tuple(range(n))
     for y, (col, back) in enumerate(zip(zip(*op), zip(*inv_op))):
-        if _gather(col)(back) != identity:
+        if perms.gather(col)(back) != identity:
             raise InternalConsistencyError(
                 f"inverse operation is not the column inverse at column {y}"
             )
 
     return FiniteQuandle(order=n, op=op, inv_op=inv_op, origin=phi)
-
-
-def _gather(indices: Sequence[int]):
-    """Map a row r to tuple(r[i] for i in indices) at C speed; itemgetter of
-    one index returns the bare item, but a one-entry row is its own gather."""
-    return itemgetter(*indices) if len(indices) > 1 else tuple
 
 
 def kei_witness(q: FiniteQuandle) -> tuple[int, int] | None:
@@ -213,10 +208,9 @@ def quandle_map(
             f"source has order {source.order} but target has order {target.order}"
         )
     p = perms.as_permutation(perm, source.order)
-    for x in range(source.order):
-        for y in range(source.order):
-            if p[source.op[x][y]] != target.op[p[x]][p[y]]:
-                raise NotOpPreserving(x, y)
+    witness = perms.first_mismatch(source.op, target.op, p, p)
+    if witness is not None:
+        raise NotOpPreserving(*witness)
     return QuandleMap(source=source, target=target, perm=p)
 
 
@@ -254,13 +248,15 @@ def _require_origin(q: FiniteQuandle) -> GroupAutomorphism:
 def f_sharp(q: FiniteQuandle, f: QuandleMap) -> GroupAutomorphism:
     """Normalize a quandle automorphism to the group automorphism x -> f(x) f(e)^-1.
 
-    Requires a connected quandle with a recorded construction pair.  The
-    result is re-validated and must commute with the twisting automorphism;
-    a failure of either is a consistency bug, not a caller error.
+    Requires a connected quandle with a recorded construction pair.  f, a
+    plain container, is checked with `quandle_map` first.  The result is
+    re-validated and must commute with the twisting automorphism; a failure
+    of either is a consistency bug, not a caller error.
     """
     origin = _require_origin(q)
     if f.source != q or f.target != q:
         raise ValueError("map is not an automorphism of this quandle")
+    quandle_map(q, q, f.perm)
     if not is_connected(q):
         raise NotConnected("normalization is only meaningful on connected quandles")
     group = origin.group
@@ -283,10 +279,12 @@ def f_sharp(q: FiniteQuandle, f: QuandleMap) -> GroupAutomorphism:
 def affine_automorphism(
     q: FiniteQuandle, psi: GroupAutomorphism, c: int
 ) -> QuandleMap:
-    """The quandle automorphism x -> psi(x) c for psi centralizing the twist."""
+    """The quandle automorphism x -> psi(x) c for psi centralizing the twist;
+    psi, a plain container, is validated first."""
     origin = _require_origin(q)
     group = origin.group
     _check_same_group(group, psi)
+    validate_automorphism(group, psi.perm)
     if not 0 <= c < group.order:
         raise BadElement(c, group.order)
     phi = origin.perm

@@ -82,31 +82,27 @@ _FORMATS = {
 }
 
 
-def _format(fmt: str) -> tuple:
-    try:
-        return _FORMATS[fmt]
-    except KeyError:
-        raise ValueError(f"unknown format {fmt!r}") from None
-
-
 def emit_report(report: dict, fmt: str = "json") -> str:
     """Render one report; permutation lists appear one per line in text mode."""
-    return _format(fmt)[0](report)
+    return emit_reports([report], fmt)
 
 
 def emit_reports(reports: list[dict], fmt: str = "json") -> str:
     """Render a report stream: JSON lines, or text blocks split by blank lines.
 
-    The bytes are those of `emit_report` on each report in turn, but each
-    `good_involutions` list object is rendered once, however many reports
-    hold it: a report is rendered with that field null, and the list's
-    rendering is spliced into the first null slot of the field.  That slot
+    The bytes are those of `to_json` or `to_text` on each report in turn,
+    but each `good_involutions` list object is rendered once, however many
+    reports hold it: a report is rendered with that field null, and the
+    list's rendering is spliced into the first null slot of the field.  That slot
     is the field's own, since every key that sorts before it in a report
     (agreement, automorphism, elapsed_ms, fixed_two_torsion) holds no
     string.  `run_catalog` gives equal lists one object, so each distinct
     list of a sweep is rendered once.
     """
-    render, render_value, slot, sep = _format(fmt)  # an empty stream checks fmt too
+    try:
+        render, render_value, slot, sep = _FORMATS[fmt]  # an empty stream checks fmt too
+    except KeyError:
+        raise ValueError(f"unknown format {fmt!r}") from None
     cut = len(slot) - len("null")
     rendered = {}  # id of a list -> its rendering; `reports` keeps each list alive
     pieces = []

@@ -62,7 +62,3 @@ def format_table(table: list[list[int]] | tuple) -> str:
     lines.extend(" ".join(str(x) for x in row) for row in table)
     return "\n".join(lines) + "\n"
 
-
-def write_table(path: str | Path, table) -> None:
-    Path(path).write_text(format_table(table), encoding="ascii", newline="\n")
-

@@ -13,6 +13,7 @@ them.
 its defining formula, for tests to compare the package's row gathers with.
 `generated_subquandle` closes a set under both operations by multiplying
 every pair, for tests to check the package's generating-set walk with.
+`write_table` writes the table files that the CLI and spec tests read.
 PSL(2,7) is built here, from its Moebius maps, because no group spec names
 it, and so is the disconnected S4 kei that two tests pin.  `run_with_exact_budget` pins the nodes a search spends.
 """
@@ -21,6 +22,7 @@ from __future__ import annotations
 
 from collections.abc import Callable, Iterator
 from itertools import permutations
+from pathlib import Path
 from typing import TypeVar
 
 import pytest
@@ -28,6 +30,7 @@ import pytest
 import symq
 from symq import errors
 from symq.perms import compose, cycle_type, invert
+from symq.tableio import format_table
 from symq.torus import Transvection
 
 T = TypeVar("T")
@@ -185,6 +188,11 @@ def generated_subquandle(q: symq.FiniteQuandle, members) -> set[int]:
 def all_transvections(n: int) -> list[Transvection]:
     """Every shear E_ij of F_2^n, i != j."""
     return [Transvection(i, j) for i in range(n) for j in range(n) if i != j]
+
+
+def write_table(path, table) -> None:
+    """Write a table file in the canonical form that `tableio.read_table` reads."""
+    Path(path).write_text(format_table(table), encoding="ascii", newline="\n")
 
 
 def run_with_exact_budget(nodes: int, call: Callable[[int], T]) -> T:

@@ -6,7 +6,8 @@ import pytest
 import symq
 from symq.cli import main
 from symq.report import _analysis_report, emit_report, emit_reports, to_json, to_text
-from symq.tableio import write_table
+
+from reference import write_table
 
 
 def run(capsys, *argv):

@@ -154,6 +154,17 @@ def test_galex_column_check_catches_non_associative_loop():
         symq.galex(loop, phi)
 
 
+def test_galex_refuses_a_hand_built_non_automorphism():
+    # a bijection of S3 that fixes the identity but is not multiplicative;
+    # the row gathers would build a table that fails Q1 at element 2
+    g = symq.symmetric_group(3)
+    phi = GroupAutomorphism(group=g, perm=(0, 1, 4, 5, 2, 3))
+    with pytest.raises(errors.NotMultiplicative, match=r"at \(2, 2\)$"):
+        symq.galex(g, phi)
+    with pytest.raises(errors.NotMultiplicative, match=r"at \(2, 2\)$"):
+        symq.cross_check_sq(g, phi)
+
+
 def test_galex_q2_roundtrip(q5):
     n = q5.order
     for x in range(n):
@@ -429,6 +440,15 @@ def test_f_sharp_requires_origin():
         symq.f_sharp(q, ident)
 
 
+def test_f_sharp_refuses_a_hand_built_non_map(z5):
+    # a caller's map that does not preserve the operation is the caller's
+    # error, not a consistency bug
+    r5 = symq.galex(z5, symq.inversion_automorphism(z5))
+    f = symq.QuandleMap(source=r5, target=r5, perm=(0, 2, 1, 4, 3))
+    with pytest.raises(errors.NotOpPreserving, match=r"at \(0, 1\)$"):
+        symq.f_sharp(r5, f)
+
+
 # -- affine_automorphism ------------------------------------------------------------------
 
 
@@ -463,6 +483,14 @@ def test_affine_rejects_non_centralizing():
     )
     with pytest.raises(errors.NotCentralizing):
         symq.affine_automorphism(q, psi, 0)
+
+
+def test_affine_refuses_a_hand_built_non_automorphism(z5):
+    # (1 2)(3 4) commutes with inversion on Z/5 but is not multiplicative
+    r5 = symq.galex(z5, symq.inversion_automorphism(z5))
+    psi = GroupAutomorphism(group=z5, perm=(0, 2, 1, 4, 3))
+    with pytest.raises(errors.NotMultiplicative, match=r"at \(1, 1\)$"):
+        symq.affine_automorphism(r5, psi, 0)
 
 
 def test_affine_bad_translation_index(r3, z3):

@@ -4,12 +4,9 @@ from hypothesis import strategies as st
 
 import symq
 from symq import errors
-from symq.tableio import (
-    format_table,
-    parse_table_text,
-    read_table,
-    write_table,
-)
+from symq.tableio import format_table, parse_table_text, read_table
+
+from reference import write_table
 
 
 # -- group specs ---------------------------------------------------------------
