@@ -93,9 +93,9 @@ def emit_reports(reports: list[dict], fmt: str = "json") -> str:
     The bytes are those of `to_json` or `to_text` on each report in turn,
     but each `good_involutions` list object is rendered once, however many
     reports hold it: a report is rendered with that field null, and the
-    list's rendering is spliced into the first null slot of the field.  That slot
-    is the field's own, since every key that sorts before it in a report
-    (agreement, automorphism, elapsed_ms, fixed_two_torsion) holds no
+    list's rendering is spliced into the first null slot of the field.
+    That slot is the field's own, since every key that sorts before it in a
+    report (agreement, automorphism, elapsed_ms, fixed_two_torsion) holds no
     string.  `run_catalog` gives equal lists one object, so each distinct
     list of a sweep is rendered once.
     """

@@ -61,4 +61,3 @@ def format_table(table: list[list[int]] | tuple) -> str:
     lines = [str(n)]
     lines.extend(" ".join(str(x) for x in row) for row in table)
     return "\n".join(lines) + "\n"
-
