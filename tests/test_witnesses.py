@@ -97,12 +97,14 @@ def _corpus_outcomes():
     for spec in GROUPS:
         g = symq.build_group(symq.parse_group_spec(spec))
         n = g.order
-        auts = [a.perm for a in symq.enumerate_automorphisms(g)]
-        quandles = [symq.galex(g, a) for a in symq.enumerate_automorphisms(g)]
+        phis = symq.enumerate_automorphisms(g)
+        auts = [phi.perm for phi in phis]
+        quandles = [symq.galex(g, phi) for phi in phis]
         # every involution of a trivial quandle is good: the random ones cover it
         goods = [
-            [s.rho for s in symq.enumerate_good_involutions(q)] if a != tuple(range(n)) else []
-            for a, q in zip(auts, quandles)
+            [] if phi.is_identity() else
+            [s.rho for s in symq.enumerate_good_involutions(q)]
+            for phi, q in zip(phis, quandles)
         ]
         for _ in range(CASES_PER_KIND):
             yield _outcome(symq.validate_group, _corrupt(rng, g.product))
