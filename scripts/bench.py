@@ -6,7 +6,7 @@ Usage: python scripts/bench.py BASE HEAD --out BENCH_N.json [--seed N]
 BASE and HEAD are the roots of two checkouts.  For every workload that
 `BENCHMARK.json` (read from HEAD) lists, this runs the benchmark command
 from each checkout root in turn: twice with `--trace 0`, the first round
-BASE first and the second HEAD first, then `TRACED_RUNS` (3) times with
+BASE first and the second HEAD first, then `TRACED_RUNS` (4) times with
 `--trace 1`, again alternating which side goes first, starting with BASE.
 Every run gets the file's `run_seconds`.  The output holds, per workload,
 each end-to-end metric's runs, medians, relative change and whether the
@@ -16,7 +16,11 @@ per-layer metric's traced runs, medians and relative change.  Every
 end-to-end and per-layer row also has `resolved`: true only when every
 HEAD run reads better than every BASE run, or every one reads worse, so
 the two sides' ranges do not overlap; a change whose row is not resolved
-is not told apart from noise by these runs.  Next to
+is not told apart from noise by these runs.  Beside it, `chance` is the
+probability that an unchanged metric reads resolved all the same: with a
+and b runs per side in random order, 2 of the C(a + b, a) equally likely
+orderings separate the sides, so 2 / C(a + b, a), which is 1/3 for the two
+untraced runs per side and 2/70 (2.9 %) for the four traced ones.  Next to
 each side's `revision` it records `src_lines`, the total line count of
 that checkout's `src/symq/*.py` as `wc -l` counts it.  Before the
 workloads it runs the Tier-1 test command (`python -m pytest -q
@@ -32,6 +36,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import platform
 import re
@@ -42,8 +47,9 @@ import time
 from pathlib import Path
 
 TIER1 = ["-m", "pytest", "-q", "--continue-on-collection-errors"]
-# traced runs per side; one cannot tell a few per cent from noise
-TRACED_RUNS = 3
+# traced runs per side; one cannot tell a few per cent from noise, and four
+# let an unchanged layer read resolved by chance 2.9 % of the time, three 10 %
+TRACED_RUNS = 4
 
 
 def _revision(root: Path) -> str | None:
@@ -107,6 +113,7 @@ def _compare(spec: dict, base: list[float], head: list[float]) -> dict:
         row["base_median"], row["head_median"] = b, h
         row["change"] = (h - b) / b if b else None
         row["resolved"] = max(head) < min(base) or min(head) > max(base)
+        row["chance"] = 2 / math.comb(len(base) + len(head), len(base))
         if "bound" in spec and row["change"] is not None:
             worse = row["change"] if spec["better"] == "lower" else -row["change"]
             row["bound"] = spec["bound"]

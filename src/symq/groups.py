@@ -6,12 +6,16 @@ quandle isomorphisms are found with it.
 
 Elements are 0-based indices into an order-n multiplication table.  All types
 are immutable after construction and safe to share between threads, and a
-search changes no interpreter setting, so threads may search at once.
+search changes no interpreter setting, so threads may search at once.  A
+fact derived from a table, such as its column cycle types, is computed on
+first use and kept on the object; computing it is idempotent, so two threads
+that race on it compute the same value twice and one of the two is kept.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import permutations
 from typing import Sequence
 
@@ -59,6 +63,11 @@ class FiniteGroup:
     product: tuple[tuple[int, ...], ...]
     identity: int
     inverse: tuple[int, ...]
+
+    @cached_property
+    def column_types(self) -> tuple[tuple[int, ...], ...]:
+        """The cycle type of each column c -> c * a: a's order, n / order times."""
+        return tuple(perms.cycle_type(col) for col in zip(*self.product))
 
 
 @dataclass(frozen=True)
@@ -300,6 +309,29 @@ def validate_automorphism(
 
 # -- isomorphism search (shared with the quandle side) ----------------------------
 
+def _candidates(
+    types1: Sequence[tuple[int, ...]],
+    types2: Sequence[tuple[int, ...]],
+    pairs: Sequence[tuple[Sequence[int], Sequence[int]]] = (),
+) -> list[Sequence[int]]:
+    """Each x's candidate images in a search between two tables whose columns
+    have these cycle types: the v, ascending, whose column has x's cycle type
+    and that each pair's p2 fixes exactly when its p1 fixes x.
+
+    When the two multisets of types differ no isomorphism exists, and no x
+    has a candidate.
+    """
+    if sorted(types1) != sorted(types2):
+        return [()] * len(types1)
+    having: dict[tuple, list[int]] = {}
+    for v, profile in enumerate(types2):
+        having.setdefault((profile, *[p2[v] == v for _, p2 in pairs]), []).append(v)
+    return [
+        having.get((profile, *[p1[x] == x for p1, _ in pairs]), ())
+        for x, profile in enumerate(types1)
+    ]
+
+
 def _iso_search(
     op1: Sequence[Sequence[int]] | None = None,
     op2: Sequence[Sequence[int]] | None = None,
@@ -325,10 +357,10 @@ def _iso_search(
     each assignment a -> b also asks for b -> a.  With tables, p1 and p2
     must each be an automorphism of its table, as (phi, phi) is, or a good
     involution of it, as (rho1, rho2) is; without tables they may be any
-    permutations.  The candidate images of x
-    are `candidates[x]` as given, or else the v whose column c -> c * v has
-    the cycle type of x's (preserved by any isomorphism; on a group table it
-    is the element order) and that each pair's p2 fixes exactly when its p1
+    permutations.  The candidate images of x are `candidates[x]` as given,
+    or else those `_candidates` gives: the v whose column c -> c * v has the
+    cycle type of x's (preserved by any isomorphism; on a group table it is
+    the element order) and that each pair's p2 fixes exactly when its p1
     fixes x.  Variables are assigned in ascending element order with
     ascending candidate values, so results come out in lexicographic order
     and a self-search always reports the identity first.  One budget node
@@ -370,8 +402,11 @@ def _iso_search(
     or p2(f(w)) * f(g), which is p2(f(w * g)).  So the mapped set and each
     assignment's outcome are those that pushing every element's pair gives.
     The closure is the same in any processing order, so the search tree
-    does not depend on it.  Passing the same table object twice marks a
-    self-search, whose column data is computed once.
+    does not depend on it.  A caller that keeps a table's column cycle
+    types, as `FiniteGroup.column_types` does, passes the candidates
+    `_candidates` makes from them, so they are computed once per table, not
+    once per search; otherwise the same table object passed twice marks a
+    self-search, whose types are computed once.
     """
     if op1 is None:
         n = len(candidates)
@@ -379,25 +414,10 @@ def _iso_search(
         n = len(op1)
         if len(op2) != n:
             return []
-        # columns: cols[a][c] = c * a
-        cols1 = tuple(zip(*op1))
-        cols2 = cols1 if op2 is op1 else tuple(zip(*op2))
     if candidates is None:
-        prof1 = [perms.cycle_type(col) for col in cols1]
-        prof2 = prof1 if op2 is op1 else [perms.cycle_type(col) for col in cols2]
-        if sorted(prof1) != sorted(prof2):
-            return []
-        # the target elements of each profile, ascending
-        having: dict[tuple[int, ...], list[int]] = {}
-        for v, profile in enumerate(prof2):
-            having.setdefault(profile, []).append(v)
-        candidates = []
-        for x in range(n):
-            options = having[prof1[x]]
-            for p1, p2 in pairs:
-                fixed = p1[x] == x
-                options = [v for v in options if (p2[v] == v) == fixed]
-            candidates.append(options)
+        types1 = [perms.cycle_type(col) for col in zip(*op1)]
+        types2 = types1 if op2 is op1 else [perms.cycle_type(col) for col in zip(*op2)]
+        candidates = _candidates(types1, types2, pairs)
     if not all(candidates):
         return []
     cand_sets = [frozenset(c) for c in candidates]
@@ -459,7 +479,6 @@ def _iso_search(
                             row1, row2 = op1[a], op2[b]
                             if generator:
                                 gens.append(a)
-                                col1, col2 = cols1[a], cols2[b]
                             for c in done if generator else gens:
                                 ic = img[c]
                                 t, u = row1[c], row2[ic]
@@ -469,7 +488,7 @@ def _iso_search(
                                     if it >= 0 or used[u]:
                                         break
                                 if generator:
-                                    t, u = col1[c], col2[ic]
+                                    t, u = op1[c][a], op2[ic][b]
                                     it = img[t]
                                     if it != u:
                                         edges.append((t, u))
@@ -505,12 +524,25 @@ def _iso_search(
 
 # -- automorphism lists, fixed elements and orbits --------------------------------
 
+def _automorphism_search(
+    group: FiniteGroup,
+    budget: SearchBudget,
+    pairs: Sequence[tuple[Sequence[int], Sequence[int]]] = (),
+) -> list[tuple[int, ...]]:
+    """The automorphisms of group that meet the pairs, as `_iso_search` lists
+    them, with candidates from the group's cached column cycle types."""
+    types = group.column_types
+    return _iso_search(
+        group.product, group.product, find_all=True, budget=budget, pairs=pairs,
+        candidates=_candidates(types, types, pairs),
+    )
+
+
 def enumerate_automorphisms(
     group: FiniteGroup, budget: int | None = None
 ) -> list[GroupAutomorphism]:
     """All automorphisms, in lexicographic order of their one-line notation."""
-    table = group.product
-    found = _iso_search(table, table, find_all=True, budget=SearchBudget(budget))
+    found = _automorphism_search(group, SearchBudget(budget))
     return [GroupAutomorphism(group=group, perm=p) for p in found]
 
 
@@ -524,11 +556,7 @@ def centralizer_in_aut(
     """
     _check_same_group(group, phi)
     validate_automorphism(group, phi.perm)
-    table = group.product
-    found = _iso_search(
-        table, table, find_all=True, budget=SearchBudget(budget),
-        pairs=[(phi.perm, phi.perm)],
-    )
+    found = _automorphism_search(group, SearchBudget(budget), [(phi.perm, phi.perm)])
     return [GroupAutomorphism(group=group, perm=p) for p in found]
 
 

@@ -40,6 +40,7 @@ from .groups import (
     FiniteGroup,
     GroupAutomorphism,
     OrbitPartition,
+    _automorphism_search,
     _iso_search,
     fixed_two_torsion,
     orbits_under,
@@ -47,7 +48,6 @@ from .groups import (
 from .quandles import (
     FiniteQuandle,
     QuandleMap,
-    _generating_set,
     galex,
     inner_orbits,
     is_kei,
@@ -182,11 +182,11 @@ def _good_involutions(q: FiniteQuandle, budget: SearchBudget) -> list[tuple[int,
     the column pairs imply, since the images meet the column condition, so
     the table would prune nothing more.
     """
-    columns = tuple(zip(*q.op))
+    columns = q.columns
     by_column: dict[tuple[int, ...], list[int]] = {}
     for z, column in enumerate(columns):
         by_column.setdefault(column, []).append(z)
-    pairs = dict.fromkeys(columns[y] for y in _generating_set(q))
+    pairs = dict.fromkeys(columns[y] for y in q.generators)
     pairs.pop(perms.identity_perm(q.order), None)
     return _iso_search(
         find_all=True,
@@ -337,7 +337,7 @@ def _partition_by_isomorphism(
             orbit_of[x] = orbit[0]
     minima = [orbit[0] for orbit in orbits.orbits]
     op = q.op
-    columns = tuple(zip(*op))
+    columns = q.columns
     column_types = {x: perms.cycle_type(columns[x]) for x in minima}
     # (index, values) of each class representative by key; the index is the
     # smallest of its class and so its union-find root
@@ -406,10 +406,7 @@ def _theorem_classes(
     """Orbits of the centralizer of the twist phi on the fixed self-inverse elements."""
     position = {r: i for i, r in enumerate(fixed)}
     restricted = []
-    table = phi.group.product
-    centralizer = _iso_search(
-        table, table, find_all=True, budget=budget, pairs=[(phi.perm, phi.perm)]
-    )
+    centralizer = _automorphism_search(phi.group, budget, [(phi.perm, phi.perm)])
     for psi in centralizer:
         images = [psi[r] for r in fixed]
         if any(img not in position for img in images):

@@ -2,12 +2,14 @@
 
 A quandle of order n is stored as two n x n tables: `op[x][y]` for x ^ y and
 `inv_op[x][y]` for the column-inverse operation x ^ (y inverse).  Everything
-is immutable once built.
+is immutable once built; the columns and a generating set are computed on
+first use and kept on the quandle, as a group keeps its column cycle types.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 from . import perms
@@ -59,6 +61,16 @@ class FiniteQuandle:
     inv_op: tuple[tuple[int, ...], ...]
     # the twist phi that galex built this quandle from; phi.group is the group
     origin: GroupAutomorphism | None = None
+
+    @cached_property
+    def columns(self) -> tuple[tuple[int, ...], ...]:
+        """columns[y][x] = x ^ y: the inner permutation S_y of each y."""
+        return tuple(zip(*self.op))
+
+    @cached_property
+    def generators(self) -> tuple[int, ...]:
+        """The greedy ascending generating set of `_generating_set`."""
+        return _generating_set(self)
 
 
 @dataclass(frozen=True)
@@ -127,16 +139,16 @@ def galex(group: FiniteGroup, phi: GroupAutomorphism) -> FiniteQuandle:
     by_d = perms.gather([p[finv[ginv[y]]][y] for y in range(n)])
     op = tuple(by_c(p[fx]) for fx in f)
     inv_op = tuple(by_d(p[gx]) for gx in finv)
+    q = FiniteQuandle(order=n, op=op, inv_op=inv_op, origin=phi)
 
     # back o col = id on a finite set exactly when back is col's inverse
     identity = tuple(range(n))
-    for y, (col, back) in enumerate(zip(zip(*op), zip(*inv_op))):
+    for y, (col, back) in enumerate(zip(q.columns, zip(*inv_op))):
         if perms.gather(col)(back) != identity:
             raise InternalConsistencyError(
                 f"inverse operation is not the column inverse at column {y}"
             )
-
-    return FiniteQuandle(order=n, op=op, inv_op=inv_op, origin=phi)
+    return q
 
 
 def kei_witness(q: FiniteQuandle) -> tuple[int, int] | None:
@@ -152,8 +164,15 @@ def is_kei(q: FiniteQuandle) -> bool:
 
 
 def inner_orbits(q: FiniteQuandle) -> OrbitPartition:
-    """Orbits of the group generated by all inner permutations x -> x ^ y."""
-    return orbits_under(tuple(zip(*q.op)), q.order)
+    """Orbits of the group generated by all inner permutations x -> x ^ y.
+
+    The columns of a generating set generate that group (Joyce: S_(x ^ y) =
+    S_y . S_x . S_y^-1), so the orbits are walked under those alone.  Only
+    they are checked to be permutations; `validate_quandle` and `galex`
+    check every column of the quandles they build.
+    """
+    columns = q.columns
+    return orbits_under([columns[y] for y in q.generators], q.order)
 
 
 def _generating_set(q: FiniteQuandle) -> tuple[int, ...]:

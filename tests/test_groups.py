@@ -1,3 +1,4 @@
+import pickle
 from itertools import permutations
 
 import pytest
@@ -7,8 +8,8 @@ from hypothesis import strategies as st
 import symq
 from symq import errors
 from symq.budget import SearchBudget
-from symq.groups import _iso_search
-from symq.perms import compose
+from symq.groups import _candidates, _iso_search
+from symq.perms import compose, cycle_type
 
 from reference import orbits_by_union_find, psl27, run_with_exact_budget
 
@@ -420,6 +421,61 @@ def test_automorphism_node_count(build, search, maps, nodes):
     group = build()
     found = run_with_exact_budget(nodes, lambda b: search(group, budget=b))
     assert len(found) == maps
+
+
+# -- facts kept on a table -------------------------------------------------------
+
+
+def _candidates_by_filter(group, pairs):
+    """Each x's candidate images computed afresh: the elements with the cycle
+    type of x's column, then filtered pair by pair on fixing x."""
+    types = [cycle_type(column) for column in zip(*group.product)]
+    having = {}
+    for v, profile in enumerate(types):
+        having.setdefault(profile, []).append(v)
+    candidates = []
+    for x in range(group.order):
+        options = having[types[x]]
+        for p1, p2 in pairs:
+            options = [v for v in options if (p2[v] == v) == (p1[x] == x)]
+        candidates.append(options)
+    return candidates
+
+
+def test_cached_candidates_equal_fresh_ones():
+    # for Aut(G) and for the centralizer of every automorphism of every
+    # catalog group and of A5
+    groups = [g for _, g in symq.catalog_family(12)] + [symq.alternating_group(5)]
+    for group in groups:
+        types = group.column_types
+        assert _candidates(types, types) == _candidates_by_filter(group, [])
+        for phi in symq.enumerate_automorphisms(group):
+            pairs = [(phi.perm, phi.perm)]
+            want = _candidates_by_filter(group, pairs)
+            assert _candidates(types, types, pairs) == want
+    # C4 and C2 x C2 differ in their element orders: no element has a candidate
+    c4, klein = symq.cyclic_group(4), symq.direct_product([symq.cyclic_group(2)] * 2)
+    assert _candidates(c4.column_types, klein.column_types) == [()] * 4
+
+
+def test_cached_facts_leave_equality_hash_and_pickle_alone():
+    # the facts are kept beside the fields, not in them: an object that has
+    # computed them equals, hashes and round-trips like one that has not
+    group, plain = symq.alternating_group(4), symq.alternating_group(4)
+    phi = symq.validate_automorphism(group, [0, 2, 1, 3, 5, 4, 9, 10, 11, 6, 7, 8])
+    table = symq.galex(plain, phi).op
+    quandle, bare = symq.validate_quandle(table), symq.validate_quandle(table)
+    facts = [
+        (group, plain, lambda g: g.column_types),
+        (quandle, bare, lambda q: (q.columns, q.generators)),
+    ]
+    for obj, twin, fact in facts:
+        before = (hash(obj), repr(obj), pickle.dumps(obj))
+        value = fact(obj)
+        assert "column_types" not in vars(twin) and "columns" not in vars(twin)
+        assert obj == twin and (hash(obj), repr(obj)) == before[:2]
+        for copy in (pickle.loads(pickle.dumps(obj)), pickle.loads(before[2])):
+            assert copy == obj and hash(copy) == hash(obj) and fact(copy) == value
 
 
 def test_psl27_automorphisms():

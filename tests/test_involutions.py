@@ -429,6 +429,33 @@ def test_inner_orbits_run_once_per_analysis(monkeypatch):
     assert result.agreement is True and len(calls) == 1
 
 
+def test_a5_columns_are_typed_once_across_its_cross_checks(
+    monkeypatch, a5_connected_keis
+):
+    # the group keeps its column cycle types, so the 25 theorem routes on
+    # one A5 object type each of its 60 columns once between them.  Columns
+    # are tuples; the partition types each S_x . rho as a list, which under
+    # an inner twist can equal a column, so lists are not counted
+    from symq import perms
+
+    group = symq.alternating_group(5)
+    columns = set(zip(*group.product))
+    typed = Counter()
+    cycle_type = perms.cycle_type
+
+    def counted(perm):
+        if isinstance(perm, tuple) and perm in columns:
+            typed[perm] += 1
+        return cycle_type(perm)
+
+    monkeypatch.setattr(perms, "cycle_type", counted)
+    for phi, _ in a5_connected_keis:
+        result = symq.cross_check_sq(group, symq.GroupAutomorphism(group, phi.perm))
+        assert result.agreement is True
+    assert len(a5_connected_keis) == 25
+    assert typed == Counter(dict.fromkeys(columns, 1))
+
+
 def test_oracle_node_total_over_catalog_family_9():
     # the oracle searches the definition alone: involutive bijections that
     # meet the column condition and commute with every column.  Its node

@@ -16,6 +16,7 @@ from reference import (
     disconnected_s4_kei,
     galex_tables,
     generated_subquandle,
+    orbits_by_union_find,
     run_with_exact_budget,
 )
 
@@ -239,6 +240,44 @@ def test_generating_set_of_an_a5_connected_kei(a5_connected_keis):
     columns = tuple(zip(*q.op))
     assert len(gens) == 6
     assert (len({columns[y] for y in gens}), len(set(columns))) == (4, 10)
+
+
+def _connected_keis(group):
+    for phi in symq.enumerate_automorphisms(group):
+        q = symq.galex(group, phi)
+        if symq.is_kei(q) and symq.is_connected(q):
+            yield q
+
+
+def test_inner_orbits_equal_union_find_over_every_column():
+    # inner_orbits walks only the generators' columns; the orbits are those
+    # of all columns on every table of the extended catalog, the 31 A4 and
+    # A5 connected keis, a disconnected kei and a trivial table
+    quandles = [
+        symq.galex(group, phi)
+        for _, group in symq.catalog_family(12, include_extras=True)
+        for phi in symq.enumerate_automorphisms(group)
+    ]
+    keis = [
+        q
+        for group in (symq.alternating_group(4), symq.alternating_group(5))
+        for q in _connected_keis(group)
+    ]
+    assert len(quandles) == 412 and len(keis) == 31
+    quandles += keis
+    quandles += [disconnected_s4_kei(), symq.validate_quandle(trivial_table(7))]
+    for q in quandles:
+        want = orbits_by_union_find(list(zip(*q.op)), q.order)
+        assert symq.inner_orbits(q).orbits == want
+    assert [symq.inner_orbits(q).count for q in quandles[-2:]] == [6, 7]
+
+
+def test_inner_orbits_check_the_generator_columns():
+    # a hand-built table whose column 0, a generator's, maps 0 and 1 to 0
+    q = symq.FiniteQuandle(order=2, op=((0, 0), (0, 1)), inv_op=((0, 0), (0, 1)))
+    assert q.generators == (0, 1)
+    with pytest.raises(errors.MalformedPermutation):
+        symq.inner_orbits(q)
 
 
 # -- isomorphism search ------------------------------------------------------------------
