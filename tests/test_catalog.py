@@ -153,3 +153,19 @@ def test_catalog_stream_digest_order_9(fmt, size, digest):
     stream = symq.emit_reports(reports, fmt).encode("ascii")
     assert len(stream) == size
     assert hashlib.sha256(stream).hexdigest() == digest
+
+
+def test_catalog_stream_digest_order_12_under_a_small_budget():
+    # a 5,000-node budget leaves 8 entries with a budget note, the phi = id
+    # entries of orders 9 to 12, whose trivial tables have the most involutions
+    reports, summary = symq.run_catalog(12, budget=5_000)
+    assert summary == {
+        "entries": 364,
+        "hypothesis_met": 7,
+        "agreement_failures": 0,
+        "budget_notes": 8,
+    }
+    stream = symq.emit_reports(reports, "json").encode("ascii")
+    assert hashlib.sha256(stream).hexdigest() == (
+        "6321c029b44c9ccf9eb88f636c4da5716e6564efc453c9e72e3514f1b91f6e50"
+    )
