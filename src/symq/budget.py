@@ -11,16 +11,22 @@ ENV_VAR = "SYMQ_BUDGET"
 
 
 def resolve_budget(value: int | None = None) -> int:
-    """Pick the budget: explicit value, then SYMQ_BUDGET, then the default."""
-    if value is not None:
-        return int(value)
-    env = os.environ.get(ENV_VAR)
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError:
-            raise ValueError(f"{ENV_VAR} is not an integer: {env!r}") from None
-    return DEFAULT_SEARCH_BUDGET
+    """Pick the budget: explicit value, then SYMQ_BUDGET, then the default.
+
+    A budget that is not an integer, or is negative, is refused with a
+    ValueError naming its source; 0 is valid and lets only search-free work
+    finish.
+    """
+    source, raw = "node budget", value
+    if value is None:
+        source, raw = ENV_VAR, os.environ.get(ENV_VAR, DEFAULT_SEARCH_BUDGET)
+    try:
+        budget = int(raw)
+    except ValueError:
+        raise ValueError(f"{source} is not an integer: {raw!r}") from None
+    if budget < 0:
+        raise ValueError(f"{source} is negative: {raw!r}")
+    return budget
 
 
 class SearchBudget:

@@ -11,7 +11,7 @@ points) join only on request.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .budget import SearchBudget, resolve_budget
 from .errors import SearchBudgetExceeded, UnsupportedOrder
@@ -101,14 +101,16 @@ def catalog_entries(
 def _entry_analysis(
     entry: CatalogEntry, budget: int | None, reuse: dict | None = None
 ) -> SqClassification:
-    return _analyze(
-        galex(entry.group, entry.aut),
-        SearchBudget(budget),
-        oracle=True,
-        theorem=True,
-        classify=True,
-        reuse=reuse,
-    )
+    """Both routes on the entry's quandle; a budget hit becomes the one kind of
+    report that says so: outcome "budget", the facts that a routes-free
+    analysis computes without a search node, and the hit as its note."""
+    q = galex(entry.group, entry.aut)
+    routes = dict(oracle=True, theorem=True, classify=True, reuse=reuse)
+    try:
+        return _analyze(q, SearchBudget(budget), **routes)
+    except SearchBudgetExceeded as exc:
+        note = f"cross-check aborted: {exc}"
+        return replace(_analyze(q, SearchBudget(0)), outcome="budget", notes=(note,))
 
 
 def entry_report(

@@ -12,6 +12,7 @@ import sys
 import time
 from dataclasses import replace
 
+from .budget import SearchBudget
 from .catalog import run_catalog
 from .errors import (
     HypothesisNotMet,
@@ -19,7 +20,7 @@ from .errors import (
     SymqError,
 )
 from .groups import is_abelian, validate_group
-from .involutions import _analyze_strict
+from .involutions import _analyze
 from .quandles import galex, validate_quandle
 from .report import _analysis_report, emit_report, emit_reports
 from .specs import build_group, parse_aut_spec
@@ -88,7 +89,7 @@ def cmd_quandle_check(args) -> int:
     start = time.monotonic()
     q = validate_quandle(read_table(args.table))
     # no route runs, so no search node may be spent
-    _write_report(args, _analyze_strict(q, 0), start)
+    _write_report(args, _analyze(q, SearchBudget(0)), start)
     return 0
 
 
@@ -109,13 +110,13 @@ def cmd_sq_enumerate(args) -> int:
     if args.closed_form:
         if q.origin is None:
             raise _UsageError("--closed-form needs --group/--aut input")
-        result = _analyze_strict(q, args.budget, theorem=True)
+        result = _analyze(q, SearchBudget(args.budget), theorem=True)
         result = replace(
             result,
             notes=("closed form: left translations by fixed self-inverse elements",),
         )
     else:
-        result = _analyze_strict(q, args.budget, oracle=True)
+        result = _analyze(q, SearchBudget(args.budget), oracle=True)
     _write_report(args, result, start)
     return 0
 
@@ -125,8 +126,9 @@ def cmd_sq_classify(args) -> int:
     q = _load_quandle(args)
     if args.theorem and q.origin is None:
         raise _UsageError("--theorem needs --group/--aut input")
-    result = _analyze_strict(
-        q, args.budget, oracle=not args.theorem, theorem=args.theorem, classify=True
+    result = _analyze(
+        q, SearchBudget(args.budget), oracle=not args.theorem, theorem=args.theorem,
+        classify=True,
     )
     _write_report(args, result, start)
     return 0
@@ -135,7 +137,9 @@ def cmd_sq_classify(args) -> int:
 def cmd_sq_crosscheck(args) -> int:
     start = time.monotonic()
     q = _galex_from_args(args)
-    result = _analyze_strict(q, args.budget, oracle=True, theorem=True, classify=True)
+    result = _analyze(
+        q, SearchBudget(args.budget), oracle=True, theorem=True, classify=True
+    )
     _write_report(args, result, start)
     if result.agreement is False:
         sys.stderr.write("classification routes disagree\n")

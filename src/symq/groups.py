@@ -338,8 +338,8 @@ def _iso_search(
     *,
     find_all: bool,
     budget: SearchBudget,
+    candidates: Sequence[Sequence[int]],
     pairs: Sequence[tuple[Sequence[int], Sequence[int]]] = (),
-    candidates: Sequence[Sequence[int]] | None = None,
     involutive: bool = False,
 ) -> list[tuple[int, ...]]:
     """Backtracking search for bijections f with f(x * y) = f(x) * f(y).
@@ -357,17 +357,18 @@ def _iso_search(
     each assignment a -> b also asks for b -> a.  With tables, p1 and p2
     must each be an automorphism of its table, as (phi, phi) is, or a good
     involution of it, as (rho1, rho2) is; without tables they may be any
-    permutations.  The candidate images of x are `candidates[x]` as given,
-    or else those `_candidates` gives: the v whose column c -> c * v has the
-    cycle type of x's (preserved by any isomorphism; on a group table it is
-    the element order) and that each pair's p2 fixes exactly when its p1
-    fixes x.  Variables are assigned in ascending element order with
-    ascending candidate values, so results come out in lexicographic order
-    and a self-search always reports the identity first.  One budget node
-    is charged per candidate tried, counted locally and added to `budget`
-    on exit.  One frame loop makes every step, undo included; its levels
-    are frames on an explicit stack, so depth n is bounded in memory, not
-    by the recursion limit.
+    permutations.  The candidate images of x are `candidates[x]`, and the
+    search is exhaustive over them.  Between two tables they come from
+    `_candidates` on the tables' kept column cycle types (preserved by any
+    isomorphism; on a group table the element order), or from a finer
+    invariant, as in the partition; unequal orders or multisets of types
+    leave some x with none, and the search returns at once.  Variables are
+    assigned in ascending element order with ascending candidate values, so
+    results come out in lexicographic order and a self-search always
+    reports the identity first.  One budget node is charged per candidate
+    tried, counted locally and added to `budget` on exit.  One frame loop
+    makes every step, undo included; its levels are frames on an explicit
+    stack, so depth n is bounded in memory, not by the recursion limit.
 
     The tables are both groups or both quandles.  An element whose image
     comes from the branch, a pair or the swap is a generator; one whose
@@ -402,22 +403,9 @@ def _iso_search(
     or p2(f(w)) * f(g), which is p2(f(w * g)).  So the mapped set and each
     assignment's outcome are those that pushing every element's pair gives.
     The closure is the same in any processing order, so the search tree
-    does not depend on it.  A caller that keeps a table's column cycle
-    types, as `FiniteGroup.column_types` does, passes the candidates
-    `_candidates` makes from them, so they are computed once per table, not
-    once per search; otherwise the same table object passed twice marks a
-    self-search, whose types are computed once.
+    does not depend on it.
     """
-    if op1 is None:
-        n = len(candidates)
-    else:
-        n = len(op1)
-        if len(op2) != n:
-            return []
-    if candidates is None:
-        types1 = [perms.cycle_type(col) for col in zip(*op1)]
-        types2 = types1 if op2 is op1 else [perms.cycle_type(col) for col in zip(*op2)]
-        candidates = _candidates(types1, types2, pairs)
+    n = len(candidates)
     if not all(candidates):
         return []
     cand_sets = [frozenset(c) for c in candidates]

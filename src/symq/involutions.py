@@ -34,13 +34,13 @@ from .errors import (
     InternalConsistencyError,
     MalformedPermutation,
     NotFixedTwoTorsion,
-    SearchBudgetExceeded,
 )
 from .groups import (
     FiniteGroup,
     GroupAutomorphism,
     OrbitPartition,
     _automorphism_search,
+    _candidates,
     _iso_search,
     fixed_two_torsion,
     orbits_under,
@@ -95,9 +95,10 @@ class SqClassification:
     when the quandle is a connected kei built from a (group, automorphism)
     pair.  Both are tuples of ascending member tuples ordered by smallest
     member.  A field the requested routes do not produce is None.
-    `outcome` is "budget" when the node budget ran out; the route fields
-    are then all None.  `orbit_count` is None only for a group whose
-    automorphisms could not be listed, where no quandle was built.
+    `outcome` is "budget" only in the catalog, for an entry whose searches
+    ran out of nodes; its route fields are then all None.  `orbit_count` is
+    None only for a group whose automorphisms could not be listed, where no
+    quandle was built.
     """
 
     order: int
@@ -230,7 +231,7 @@ def good_involutions_closed_form(
     """
     q = galex(group, phi)
     # the translations are read off the group: no search, so no budget
-    result = _analyze_strict(q, 0, theorem=True)
+    result = _analyze(q, SearchBudget(0), theorem=True)
     return [SymmetricQuandle(quandle=q, rho=p) for p in result.good_involutions]
 
 
@@ -251,13 +252,14 @@ def symmetric_quandle_isomorphic(
         return None
     _require_good_involution(a.quandle, a.rho)
     _require_good_involution(b.quandle, b.rho)
-    tracker = SearchBudget(budget)
+    pairs = [(a.rho, b.rho)]
     found = _iso_search(
         a.quandle.op,
         b.quandle.op,
         find_all=False,
-        budget=tracker,
-        pairs=[(a.rho, b.rho)],
+        budget=SearchBudget(budget),
+        candidates=_candidates(a.quandle.column_types, b.quandle.column_types, pairs),
+        pairs=pairs,
     )
     if not found:
         return None
@@ -459,8 +461,8 @@ def _analyze(
     and is skipped with a note beside the oracle.  Without the oracle the
     translations are checked against the definition, with it against the
     oracle's list.  `classify` partitions the lists the routes produced and,
-    with both routes, decides agreement.  Every search charges `budget`;
-    when it runs out the result has outcome "budget" and no route fields.
+    with both routes, decides agreement.  Every search charges `budget`, and
+    the SearchBudgetExceeded of the search that runs out reaches the caller.
 
     `reuse` is a dict that a caller passing the same routes to many quandles
     keeps across the calls.  It maps an op table to the involution list, the
@@ -473,13 +475,6 @@ def _analyze(
     witness = kei_witness(q)
     orbits = inner_orbits(q)
     fixed = None if origin is None else fixed_two_torsion(origin.group, origin)
-    facts = dict(
-        order=q.order,
-        origin=origin,
-        kei_witness=witness,
-        orbit_count=orbits.count,
-        fixed_two_torsion=fixed,
-    )
     # (hypothesis, note prefix, detail) of the first connected-kei hypothesis
     # that fails
     failure = None
@@ -492,63 +487,51 @@ def _analyze(
         raise HypothesisNotMet(failure[0], failure[2])
 
     rhos = brute = classes = agreement = None
-    try:
-        if oracle:
-            hit = None if reuse is None else reuse.get(q.op)
-            if hit is None:
-                start = budget.used
-                rhos = _good_involutions(q, budget)
-                if classify:
-                    brute = _partition_by_isomorphism(q, rhos, budget, orbits)
-                if reuse is not None:
-                    reuse[q.op] = rhos, brute, budget.used - start
-            else:
-                rhos, brute, nodes = hit
-                budget.spend(nodes)
-        if theorem and failure is None:
-            translation = {r: origin.group.product[r] for r in fixed}
-            if not oracle:
-                for r, p in translation.items():
-                    violation = check_good_involution(q, p)
-                    if violation is not None:
-                        raise InternalConsistencyError(
-                            f"translation by {r} is not a good involution: {violation}"
-                        )
-                rhos = sorted(translation.values())
+    if oracle:
+        hit = None if reuse is None else reuse.get(q.op)
+        if hit is None:
+            start = budget.used
+            rhos = _good_involutions(q, budget)
             if classify:
-                classes = _theorem_classes(origin, fixed, budget)
-                if oracle:
-                    agreement = _classes_agree(rhos, brute, classes, translation)
-    except SearchBudgetExceeded as exc:
-        return SqClassification(
-            **facts, outcome="budget", notes=(f"cross-check aborted: {exc}",)
-        )
+                brute = _partition_by_isomorphism(q, rhos, budget, orbits)
+            if reuse is not None:
+                reuse[q.op] = rhos, brute, budget.used - start
+        else:
+            rhos, brute, nodes = hit
+            budget.spend(nodes)
+    if theorem and failure is None:
+        translation = {r: origin.group.product[r] for r in fixed}
+        if not oracle:
+            for r, p in translation.items():
+                violation = check_good_involution(q, p)
+                if violation is not None:
+                    raise InternalConsistencyError(
+                        f"translation by {r} is not a good involution: {violation}"
+                    )
+            rhos = sorted(translation.values())
+        if classify:
+            classes = _theorem_classes(origin, fixed, budget)
+            if oracle:
+                agreement = _classes_agree(rhos, brute, classes, translation)
     return SqClassification(
-        **facts,
+        order=q.order,
+        origin=origin,
         good_involutions=None if rhos is None else tuple(rhos),
         classes_bruteforce=brute,
         classes_theorem=classes,
         agreement=agreement,
         notes=() if failure is None else (f"{failure[1]}: {failure[2]}",),
+        kei_witness=witness,
+        orbit_count=orbits.count,
+        fixed_two_torsion=fixed,
     )
-
-
-def _analyze_strict(
-    q: FiniteQuandle, budget: int | None, **routes: bool
-) -> SqClassification:
-    """`_analyze` under a fresh budget; raises SearchBudgetExceeded if it runs out."""
-    tracker = SearchBudget(budget)
-    result = _analyze(q, tracker, **routes)
-    if result.outcome == "budget":
-        raise SearchBudgetExceeded(tracker.limit)
-    return result
 
 
 def classify_sq_bruteforce(
     q: FiniteQuandle, budget: int | None = None
 ) -> SqClassification:
     """Enumerate good involutions, then partition them by exhaustive search."""
-    return _analyze_strict(q, budget, oracle=True, classify=True)
+    return _analyze(q, SearchBudget(budget), oracle=True, classify=True)
 
 
 def classify_sq_theorem(
@@ -560,7 +543,9 @@ def classify_sq_theorem(
     anything else this raises and the caller must fall back to the
     brute-force route.
     """
-    return _analyze_strict(galex(group, phi), budget, theorem=True, classify=True)
+    return _analyze(
+        galex(group, phi), SearchBudget(budget), theorem=True, classify=True
+    )
 
 
 def cross_check_sq(
@@ -573,6 +558,5 @@ def cross_check_sq(
     orbits in distinct classes.  When a hypothesis fails the orbit route is
     skipped and the notes say which one.  One budget bounds both routes.
     """
-    return _analyze_strict(
-        galex(group, phi), budget, oracle=True, theorem=True, classify=True
-    )
+    q = galex(group, phi)
+    return _analyze(q, SearchBudget(budget), oracle=True, theorem=True, classify=True)

@@ -2,8 +2,8 @@
 
 A quandle of order n is stored as two n x n tables: `op[x][y]` for x ^ y and
 `inv_op[x][y]` for the column-inverse operation x ^ (y inverse).  Everything
-is immutable once built; the columns and a generating set are computed on
-first use and kept on the quandle, as a group keeps its column cycle types.
+is immutable once built; the columns, their cycle types and a generating
+set are computed on first use and kept on the quandle.
 """
 
 from __future__ import annotations
@@ -30,6 +30,7 @@ from .groups import (
     FiniteGroup,
     GroupAutomorphism,
     OrbitPartition,
+    _candidates,
     _check_same_group,
     _check_table_shape,
     _iso_search,
@@ -66,6 +67,11 @@ class FiniteQuandle:
     def columns(self) -> tuple[tuple[int, ...], ...]:
         """columns[y][x] = x ^ y: the inner permutation S_y of each y."""
         return tuple(zip(*self.op))
+
+    @cached_property
+    def column_types(self) -> tuple[tuple[int, ...], ...]:
+        """The cycle type of each column S_y, as `FiniteGroup.column_types`."""
+        return tuple(perms.cycle_type(col) for col in self.columns)
 
     @cached_property
     def generators(self) -> tuple[int, ...]:
@@ -243,8 +249,10 @@ def quandle_isomorphisms(
 
     An empty list is conclusive: the search is exhaustive up to its budget.
     """
-    tracker = SearchBudget(budget)
-    found = _iso_search(q1.op, q2.op, find_all=find_all, budget=tracker)
+    found = _iso_search(
+        q1.op, q2.op, find_all=find_all, budget=SearchBudget(budget),
+        candidates=_candidates(q1.column_types, q2.column_types),
+    )
     return [QuandleMap(source=q1, target=q2, perm=p) for p in found]
 
 

@@ -83,7 +83,8 @@ class _Cursor:
 
     def take_int(self) -> int:
         start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
+        # ASCII digits only: str.isdigit also takes "²", "３" and "٣"
+        while self.pos < len(self.text) and "0" <= self.text[self.pos] <= "9":
             self.pos += 1
         if self.pos == start:
             raise self.fail("expected an unsigned integer")

@@ -63,6 +63,35 @@ def test_entry_report_budget_note_never_raises(z4):
     assert any("aborted" in n for n in report["notes"])
 
 
+def test_entry_budget_outcome_at_the_trivial_order_8_pin():
+    # the partition of the order-8 trivial table, oracle included, spends
+    # 3,023 nodes, and the theorem route is skipped on a disconnected kei;
+    # one node fewer gives outcome "budget", no route fields and the search's
+    # own message, whether the nodes are spent afresh or charged on a reuse hit
+    from symq.catalog import _entry_analysis
+
+    g = symq.cyclic_group(8)
+    entry = symq.CatalogEntry("cyclic:8", g, symq.identity_automorphism(g))
+    reuse = {}
+    full = _entry_analysis(entry, 3_023, reuse)
+    assert full.outcome == "ok" and full.bruteforce_count == 5
+    assert list(reuse) == [symq.galex(g, entry.aut).op]
+    for table in (reuse, {}):
+        short = _entry_analysis(entry, 3_022, table)
+        assert short.outcome == "budget" and short.good_involutions is None
+        assert short.classes_bruteforce is short.classes_theorem is None
+        assert short.notes == (
+            "cross-check aborted: search exceeded the node budget of 3022; "
+            "raise it via --budget or SYMQ_BUDGET",
+        )
+        # the facts that need no search are those of the full analysis
+        assert (short.kei_witness, short.orbit_count, short.fixed_two_torsion) == (
+            full.kei_witness, full.orbit_count, full.fixed_two_torsion
+        )
+    report = entry_report(entry, 3_022)
+    assert report["good_involutions"] is None and report["orbit_count"] == 8
+
+
 def test_run_catalog_summary_counts():
     reports, summary = symq.run_catalog(6)
     assert summary["entries"] == len(reports) == 30

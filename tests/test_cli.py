@@ -213,9 +213,9 @@ def test_sq_crosscheck_disagreement_exits_three(capsys, monkeypatch):
     import symq.cli as cli
     from dataclasses import replace
 
-    analyze = cli._analyze_strict
+    analyze = cli._analyze
     monkeypatch.setattr(
-        cli, "_analyze_strict",
+        cli, "_analyze",
         lambda *args, **kw: replace(analyze(*args, **kw), agreement=False),
     )
     code, out, err = run(
@@ -288,6 +288,24 @@ def test_sq_env_budget_must_be_an_integer(capsys, monkeypatch):
     )
     assert code == 1 and out == ""
     assert err == "error: SYMQ_BUDGET is not an integer: 'abc'\n"
+
+
+@pytest.mark.parametrize("argv, env, err", [
+    (("catalog", "--max-order", "3", "--budget", "-1"), None,
+     "error: node budget is negative: -1\n"),
+    (("sq", "enumerate", "--group", "cyclic:3", "--aut", "inv", "--budget", "-1"),
+     None, "error: node budget is negative: -1\n"),
+    (("catalog", "--max-order", "3"), "-1", "error: SYMQ_BUDGET is negative: '-1'\n"),
+    (("sq", "enumerate", "--group", "cyclic:3", "--aut", "inv"), "-1",
+     "error: SYMQ_BUDGET is negative: '-1'\n"),
+], ids=["catalog_flag", "sq_flag", "catalog_env", "sq_env"])
+def test_negative_budget_is_refused(capsys, monkeypatch, argv, env, err):
+    # a negative budget is an input error, not a budget hit or a budget note
+    if env is None:
+        monkeypatch.delenv("SYMQ_BUDGET", raising=False)
+    else:
+        monkeypatch.setenv("SYMQ_BUDGET", env)
+    assert run(capsys, *argv) == (1, "", err)
 
 
 def test_sq_env_budget_applies(capsys, monkeypatch):

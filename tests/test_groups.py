@@ -1,4 +1,5 @@
 import pickle
+from functools import partial
 from itertools import permutations
 
 import pytest
@@ -274,17 +275,26 @@ def test_budget_exhaustion():
         symq.enumerate_automorphisms(g, budget=5)
 
 
+def _s3_automorphism_search():
+    """`_iso_search` for the automorphisms of S3, awaiting find_all and budget."""
+    s3 = symq.symmetric_group(3)
+    types = s3.column_types
+    return partial(
+        _iso_search, s3.product, s3.product, candidates=_candidates(types, types)
+    )
+
+
 def test_search_charges_the_candidates_it_tries():
     # Aut(S3) with find_all=False: 0 -> 0, 1 -> 1, then 2 -> 1 is skipped
     # as used, which costs nothing, and 2 -> 2 completes the identity
-    table = symq.symmetric_group(3).product
+    search = _s3_automorphism_search()
     budget = SearchBudget()
-    found = _iso_search(table, table, find_all=False, budget=budget)
+    found = search(find_all=False, budget=budget)
     assert found == [tuple(range(6))] and budget.used == 3
     # a second search on the same budget adds its nodes to the first's
     alone = SearchBudget()
-    assert len(_iso_search(table, table, find_all=True, budget=alone)) == 6
-    _iso_search(table, table, find_all=True, budget=budget)
+    assert len(search(find_all=True, budget=alone)) == 6
+    search(find_all=True, budget=budget)
     assert budget.used == 3 + alone.used
 
 
@@ -292,18 +302,18 @@ def test_search_out_of_budget_leaves_one_node_past_the_limit():
     # the search counts its nodes locally and writes them back on exit: one
     # that runs out has charged the node that crossed the limit, as
     # SearchBudget.spend does, also when an earlier search spent part of it
-    table = symq.symmetric_group(3).product
+    search = _s3_automorphism_search()
     nodes = SearchBudget()
-    _iso_search(table, table, find_all=True, budget=nodes)
+    search(find_all=True, budget=nodes)
     for limit in range(nodes.used):
         for spent in (0, limit // 2):
             budget = SearchBudget(limit)
             budget.spend(spent)
             with pytest.raises(errors.SearchBudgetExceeded):
-                _iso_search(table, table, find_all=True, budget=budget)
+                search(find_all=True, budget=budget)
             assert budget.used == limit + 1
     budget = SearchBudget(nodes.used)
-    _iso_search(table, table, find_all=True, budget=budget)
+    search(find_all=True, budget=budget)
     assert budget.used == budget.limit
 
 
@@ -389,13 +399,15 @@ def test_centralizer_matches_direct_filter_a5():
 
 def _all_centralizers(group, budget):
     """The centralizer of every automorphism of group, under one budget."""
-    table = group.product
+    table, types = group.product, group.column_types
     shared = SearchBudget(budget)
     return [
         psi
         for phi in symq.enumerate_automorphisms(group)
+        for pairs in [[(phi.perm, phi.perm)]]
         for psi in _iso_search(
-            table, table, find_all=True, budget=shared, pairs=[(phi.perm, phi.perm)]
+            table, table, find_all=True, budget=shared, pairs=pairs,
+            candidates=_candidates(types, types, pairs),
         )
     ]
 

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 import symq
 from symq import errors
 from symq.budget import SearchBudget
-from symq.groups import _iso_search
+from symq.groups import _candidates, _iso_search
 from symq.perms import compose, invert
 
 from reference import (
@@ -137,10 +137,15 @@ def test_searches_leave_no_garbage_cycles():
     gc.collect()
     gc.disable()
     try:
-        _iso_search(a4.product, a4.product, find_all=True, budget=SearchBudget())
+        types = a4.column_types
         _iso_search(
-            kei.op, kei.op, find_all=False, budget=SearchBudget(),
-            pairs=[(rho, other)],
+            a4.product, a4.product, find_all=True, budget=SearchBudget(),
+            candidates=_candidates(types, types),
+        )
+        pairs = [(rho, other)]
+        _iso_search(
+            kei.op, kei.op, find_all=False, budget=SearchBudget(), pairs=pairs,
+            candidates=_candidates(kei.column_types, kei.column_types, pairs),
         )
         symq.enumerate_good_involutions(kei)
         symq.catalog_family(12)
@@ -499,22 +504,6 @@ def test_partition_membership_pinned(a5_connected_keis):
     )
 
 
-def test_analyze_budget_outcome_at_the_trivial_order_8_pin():
-    # the partition of the order-8 trivial table, oracle included, spends
-    # 3,023 nodes; one node fewer gives outcome "budget" and no route fields
-    from symq.involutions import _analyze
-
-    g = symq.cyclic_group(8)
-    q = symq.galex(g, symq.identity_automorphism(g))
-    routes = dict(oracle=True, classify=True)
-    short = _analyze(q, SearchBudget(3_022), **routes)
-    assert short.outcome == "budget" and short.good_involutions is None
-    budget = SearchBudget(3_023)
-    full = _analyze(q, budget, **routes)
-    assert full.outcome == "ok" and full.bruteforce_count == 5
-    assert budget.used == 3_023
-
-
 def test_reuse_charges_the_recorded_nodes(klein):
     # a second analysis of the same table takes the stored involutions and
     # classes and is charged the nodes the first one spent
@@ -533,10 +522,26 @@ def test_reuse_charges_the_recorded_nodes(klein):
     # one node fewer runs out on a hit as on a fresh search, and a search
     # cut short is not stored
     short = first.used - 1
-    assert _analyze(q, SearchBudget(short), **routes, reuse=reuse).outcome == "budget"
+    with pytest.raises(errors.SearchBudgetExceeded):
+        _analyze(q, SearchBudget(short), **routes, reuse=reuse)
     fresh = {}
-    assert _analyze(q, SearchBudget(short), **routes, reuse=fresh).outcome == "budget"
+    with pytest.raises(errors.SearchBudgetExceeded):
+        _analyze(q, SearchBudget(short), **routes, reuse=fresh)
     assert fresh == {}
+
+
+@pytest.mark.parametrize("classify", [
+    lambda q, budget: symq.classify_sq_bruteforce(q, budget),
+    lambda q, budget: symq.cross_check_sq(q.origin.group, q.origin, budget),
+], ids=["bruteforce", "crosscheck"])
+def test_budget_hit_surfaces_the_search_exception(a5_connected_keis, classify):
+    # the exception that the search which ran out raised reaches the caller
+    # itself, with its traceback, not a copy made after the analysis returned
+    q = a5_connected_keis[0][1]
+    with pytest.raises(errors.SearchBudgetExceeded) as excinfo:
+        classify(q, 100)
+    assert excinfo.traceback[-1].name == "_iso_search"
+    assert str(excinfo.value).startswith("search exceeded the node budget of 100;")
 
 
 def test_classify_theorem_r3(z3):
@@ -699,3 +704,26 @@ def test_good_involutions_of_a4_and_a5_pinned():
     assert digest.hexdigest() == (
         "2e9036b4918359152444780f51d224d43882bc5dfbadd700272cac03cd314f83"
     )
+
+
+def test_repeated_searches_type_each_column_once(a5_connected_keis, monkeypatch):
+    # the quandle keeps its column cycle types, so neither isomorphism
+    # search types a column again, however often it runs
+    phi = a5_connected_keis[0][0]
+    q = symq.galex(phi.group, phi)  # a fresh quandle: nothing kept yet
+    rho, other = rhos_of(symq.enumerate_good_involutions(q))[:2]
+    a, b = symq.symmetric_quandle(q, rho), symq.symmetric_quandle(q, other)
+    typed = Counter()
+    cycle_type = symq.perms.cycle_type
+
+    def counting(perm):
+        typed[tuple(perm)] += 1
+        return cycle_type(perm)
+
+    monkeypatch.setattr(symq.perms, "cycle_type", counting)
+    for _ in range(3):
+        assert symq.quandle_isomorphisms(q, q, find_all=False)
+        assert symq.symmetric_quandle_isomorphic(a, a) is not None
+        symq.symmetric_quandle_isomorphic(a, b)
+    assert sum(typed.values()) == q.order
+    assert set(typed) == set(q.columns)

@@ -9,7 +9,7 @@ import symq
 from symq import errors
 from symq.budget import SearchBudget
 from symq.perms import compose, invert
-from symq.groups import FiniteGroup, GroupAutomorphism, _iso_search
+from symq.groups import FiniteGroup, GroupAutomorphism, _candidates, _iso_search
 from symq.quandles import _generating_set
 
 from reference import (
@@ -333,8 +333,10 @@ def test_rho_search_matches_filter_small_keis():
             for f in auts:
                 by_b.setdefault(compose(compose(f, a), invert(f)), []).append(f)
             for b in rhos:
+                pairs = [(a, b)]
                 found = _iso_search(
-                    q.op, q.op, find_all=True, budget=SearchBudget(), pairs=[(a, b)]
+                    q.op, q.op, find_all=True, budget=SearchBudget(), pairs=pairs,
+                    candidates=_candidates(q.column_types, q.column_types, pairs),
                 )
                 assert found == by_b.get(b, []), (entry.label, a, b)
     assert len(seen) == 18

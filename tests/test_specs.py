@@ -89,6 +89,26 @@ def test_parse_integer_past_digit_limit_is_a_parse_error():
     assert exc.value.offset == 7
 
 
+def _parse_aut(spec):
+    return symq.parse_aut_spec(spec, symq.cyclic_group(3))
+
+
+@pytest.mark.parametrize("parse, spec, message", [
+    # superscript two, fullwidth three and Arabic-Indic three
+    (symq.parse_group_spec, "cyclic:\u00b2", "expected an unsigned integer (at offset 7)"),
+    (symq.parse_group_spec, "cyclic:\uff13", "expected an unsigned integer (at offset 7)"),
+    (symq.parse_group_spec, "cyclic:\u0663", "expected an unsigned integer (at offset 7)"),
+    (symq.parse_group_spec, "cyclic:1\u0663", "unexpected trailing characters (at offset 8)"),
+    # the automorphism specs share the integer parser
+    (_parse_aut, "conj:\uff13", "expected an unsigned integer (at offset 5)"),
+    (_parse_aut, "perm:0,\u00b2", "expected an unsigned integer (at offset 7)"),
+], ids=["superscript", "fullwidth", "arabic_indic", "trailing", "conj", "perm"])
+def test_spec_integers_are_ascii_digits_only(parse, spec, message):
+    with pytest.raises(errors.SpecParseError) as exc:
+        parse(spec)
+    assert str(exc.value) == message
+
+
 def test_build_quaternion():
     assert symq.build_group("quaternion").order == 8
 
