@@ -15,15 +15,20 @@ def resolve_budget(value: int | None = None) -> int:
 
     A budget that is not an integer, or is negative, is refused with a
     ValueError naming its source; 0 is valid and lets only search-free work
-    finish.
+    finish.  As for `perms.as_permutation`, digit strings and integral
+    numbers (3.0) are read as numbers, but a bool or a number that int()
+    would change (2.7) is refused.
     """
     source, raw = "node budget", value
     if value is None:
         source, raw = ENV_VAR, os.environ.get(ENV_VAR, DEFAULT_SEARCH_BUDGET)
+    not_integer = f"{source} is not an integer: {raw!r}"
     try:
         budget = int(raw)
-    except ValueError:
-        raise ValueError(f"{source} is not an integer: {raw!r}") from None
+    except (TypeError, ValueError, OverflowError):
+        raise ValueError(not_integer) from None
+    if isinstance(raw, bool) or (raw != budget and not isinstance(raw, (str, bytes))):
+        raise ValueError(not_integer)
     if budget < 0:
         raise ValueError(f"{source} is negative: {raw!r}")
     return budget

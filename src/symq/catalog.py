@@ -113,17 +113,14 @@ def _entry_analysis(
         return replace(_analyze(q, SearchBudget(0)), outcome="budget", notes=(note,))
 
 
-def entry_report(
-    entry: CatalogEntry,
-    budget: int | None = None,
-    elapsed_ms: int | None = None,
-) -> dict:
+def entry_report(entry: CatalogEntry, budget: int | None = None) -> dict:
     """Full cross-checked report for one (group, automorphism) pair.
 
     Budget exhaustion never raises out of here; it leaves the route fields
-    null and explains itself in the notes.
+    null and explains itself in the notes.  Its elapsed_ms is null, as in
+    `run_catalog`.
     """
-    return _analysis_report(_entry_analysis(entry, budget), entry.label, elapsed_ms)
+    return _analysis_report(_entry_analysis(entry, budget), entry.label, None)
 
 
 def run_catalog(

@@ -94,20 +94,20 @@ class OrbitPartition:
 
 # -- validation ---------------------------------------------------------------
 
-def _check_table_shape(table: Sequence[Sequence[int]]) -> list[list[int]]:
+def _check_table_shape(table: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], ...]:
     n = len(table)
     if n == 0:
         raise MalformedTable("table is empty")
-    rows: list[list[int]] = []
+    rows: list[tuple[int, ...]] = []
     for i, raw in enumerate(table):
-        row = list(raw)
+        row = tuple(raw)
         if len(row) != n:
             raise MalformedTable(f"row {i} has {len(row)} entries, expected {n}")
         for j, x in enumerate(row):
             if not isinstance(x, int) or isinstance(x, bool) or not 0 <= x < n:
                 raise MalformedTable(f"entry ({i}, {j}) = {x!r} out of range 0..{n - 1}")
         rows.append(row)
-    return rows
+    return tuple(rows)
 
 
 def validate_group(product_table: Sequence[Sequence[int]]) -> FiniteGroup:
@@ -117,48 +117,41 @@ def validate_group(product_table: Sequence[Sequence[int]]) -> FiniteGroup:
     same first failure: shape, row/column permutations, identity, inverses,
     associativity.  A row or column with a repeated entry means the
     corresponding element cannot be cancelled, which is reported as
-    NoInverse for that index.
+    NoInverse for that index.  The identity is the first index whose row
+    and column are both the identity permutation.  Once rows are
+    permutations, row i holds the identity exactly once, at j; i has an
+    inverse exactly when j * i is the identity too, read off column i.
     """
     rows = _check_table_shape(product_table)
     n = len(rows)
+    cols = tuple(zip(*rows))
     full = set(range(n))
     for i, row in enumerate(rows):
         if set(row) != full:
             raise NoInverse(i, "row is not a permutation")
-    for j in range(n):
-        if {rows[i][j] for i in range(n)} != full:
+    for j, col in enumerate(cols):
+        if set(col) != full:
             raise NoInverse(j, "column is not a permutation")
 
-    identity = None
-    for c in range(n):
-        if all(rows[c][i] == i and rows[i][c] == i for i in range(n)):
-            identity = c
-            break
+    ident = perms.identity_perm(n)
+    identity = next(
+        (c for c, (row, col) in enumerate(zip(rows, cols)) if row == col == ident),
+        None,
+    )
     if identity is None:
         raise NoIdentity()
 
-    inverse = []
-    for i in range(n):
-        j = next(
-            (j for j in range(n) if rows[i][j] == identity and rows[j][i] == identity),
-            None,
-        )
-        if j is None:
+    inverse = tuple(row.index(identity) for row in rows)
+    for i, (j, col) in enumerate(zip(inverse, cols)):
+        if col[j] != identity:
             raise NoInverse(i)
-        inverse.append(j)
 
-    ident = perms.identity_perm(n)
     for i, row in enumerate(rows):  # i(jk) = (ij)k: p is left multiplication by i
         witness = perms.first_mismatch(rows, rows, row, ident)
         if witness is not None:
             raise NotAssociative(i, *witness)
 
-    return FiniteGroup(
-        order=n,
-        product=tuple(tuple(row) for row in rows),
-        identity=identity,
-        inverse=tuple(inverse),
-    )
+    return FiniteGroup(order=n, product=rows, identity=identity, inverse=inverse)
 
 
 # -- constructors ---------------------------------------------------------------
@@ -272,9 +265,8 @@ def _product_of_two(g1: FiniteGroup, g2: FiniteGroup) -> FiniteGroup:
 # -- predicates and automorphisms ---------------------------------------------
 
 def is_abelian(group: FiniteGroup) -> bool:
-    p = group.product
-    n = group.order
-    return all(p[i][j] == p[j][i] for i in range(n) for j in range(i + 1, n))
+    """Whether the table equals its transpose."""
+    return group.product == tuple(zip(*group.product))
 
 
 def inversion_automorphism(group: FiniteGroup) -> GroupAutomorphism:
@@ -340,7 +332,6 @@ def _iso_search(
     budget: SearchBudget,
     candidates: Sequence[Sequence[int]],
     pairs: Sequence[tuple[Sequence[int], Sequence[int]]] = (),
-    involutive: bool = False,
 ) -> list[tuple[int, ...]]:
     """Backtracking search for bijections f with f(x * y) = f(x) * f(y).
 
@@ -348,13 +339,13 @@ def _iso_search(
     table it lists the automorphisms, and with the pair (phi, phi) those
     that commute with phi.  Between quandle operations it lists the
     isomorphisms, and with the pair (rho1, rho2) the symmetric-quandle ones.
-    Without tables it lists the bijections of 0..n-1 (n = len(candidates))
-    that meet the candidates and the pairs alone: involutive, with the
-    column condition as candidates and each column as the pair (column,
-    column), these are the good involutions, by their definition.
+    Without tables it lists the involutions of 0..n-1 (n = len(candidates))
+    that meet the candidates and the pairs alone: with the column condition
+    as candidates and each column as the pair (column, column), these are
+    the good involutions, by their definition.
 
-    Each pair (p1, p2) asks for f(p1(x)) = p2(f(x)); with `involutive`
-    each assignment a -> b also asks for b -> a.  With tables, p1 and p2
+    Each pair (p1, p2) asks for f(p1(x)) = p2(f(x)); without tables each
+    assignment a -> b also asks for b -> a.  With tables, p1 and p2
     must each be an automorphism of its table, as (phi, phi) is, or a good
     involution of it, as (rho1, rho2) is; without tables they may be any
     permutations.  The candidate images of x are `candidates[x]`, and the
@@ -378,7 +369,7 @@ def _iso_search(
     implies f(a * g) = b * f(g) for every generator g.  An implied pair
     whose left side already has that image is dropped in place; the others
     are mapped in turn, and one sure to fail is pushed last, so that the
-    next pop fails the assignment.  With `involutive`, the swap b -> a of
+    next pop fails the assignment.  Without tables, the swap b -> a of
     a -> b is pushed only when b has no image (not for a -> a, nor for an
     image from the swap).  The mapped elements are then those the generators
     generate, as a quandle or a group: each is a left-normed product
@@ -406,6 +397,7 @@ def _iso_search(
     does not depend on it.
     """
     n = len(candidates)
+    involutive = op1 is None
     if not all(candidates):
         return []
     cand_sets = [frozenset(c) for c in candidates]

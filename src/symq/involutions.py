@@ -194,7 +194,6 @@ def _good_involutions(q: FiniteQuandle, budget: SearchBudget) -> list[tuple[int,
         budget=budget,
         pairs=[(column, column) for column in pairs],
         candidates=[by_column.get(column, ()) for column in zip(*q.inv_op)],
-        involutive=True,
     )
 
 

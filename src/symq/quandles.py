@@ -91,35 +91,37 @@ class QuandleMap:
 def validate_quandle(op_table: Sequence[Sequence[int]]) -> FiniteQuandle:
     """Verify the three quandle axioms and derive the inverse operation.
 
-    Check order is fixed: shape, idempotence, column bijectivity (which
-    yields inv_op), then right self-distributivity.  Witness indices are the
-    smallest in scan order.
+    Check order is fixed: shape, idempotence, column bijectivity (whose
+    inverted columns, transposed, are inv_op), then right
+    self-distributivity.  Q3 says that each column S_z: x -> x ^ z
+    preserves the operation, so it is one `perms.first_mismatch` scan per
+    column; each scan gives its column's least failing (x, y), and the
+    least (x, y, z) over the columns is the witness, the least failing
+    triple.  Once a column fails at row x, later columns are scanned only
+    up to row x.  Q1 and Q2 report their smallest index.
     """
     rows = _check_table_shape(op_table)
     n = len(rows)
-    for x in range(n):
-        if rows[x][x] != x:
+    for x, row in enumerate(rows):
+        if row[x] != x:
             raise Q1Violation(x)
 
-    inv_cols = []
-    for y in range(n):
-        col = [rows[x][y] for x in range(n)]
+    cols = tuple(zip(*rows))
+    for y, col in enumerate(cols):
         if sorted(col) != list(range(n)):
             raise Q2Violation(y)
-        inv_cols.append(perms.invert(col))
-    inv_rows = [[inv_cols[y][x] for y in range(n)] for x in range(n)]
 
-    for x in range(n):
-        for y in range(n):
-            xy = rows[x][y]
-            for z in range(n):
-                if rows[xy][z] != rows[rows[x][z]][rows[y][z]]:
-                    raise Q3Violation(x, y, z)
+    least = None  # the least failing (x, y, z) so far
+    for z, col in enumerate(cols):
+        scanned = rows if least is None else rows[: least[0] + 1]
+        witness = perms.first_mismatch(scanned, rows, col, col)
+        if witness is not None and (least is None or witness < least[:2]):
+            least = (*witness, z)
+    if least is not None:
+        raise Q3Violation(*least)
 
     return FiniteQuandle(
-        order=n,
-        op=tuple(tuple(r) for r in rows),
-        inv_op=tuple(tuple(r) for r in inv_rows),
+        order=n, op=rows, inv_op=tuple(zip(*map(perms.invert, cols)))
     )
 
 

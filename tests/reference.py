@@ -14,6 +14,9 @@ its defining formula, for tests to compare the package's row gathers with.
 `generated_subquandle` closes a set under both operations by multiplying
 every pair, for tests to check the package's generating-set walk with.
 `write_table` writes the table files that the CLI and spec tests read.
+`q3_witness_by_triples`, `identity_by_scan` and `inverses_by_scan` are the
+table validators' axiom loops read cell by cell, for tests to compare the
+package's row and column scans with.
 PSL(2,7) is built here, from its Moebius maps, because no group spec names
 it, and so is the disconnected S4 kei that two tests pin.  `run_with_exact_budget` pins the nodes a search spends.
 """
@@ -183,6 +186,41 @@ def generated_subquandle(q: symq.FiniteQuandle, members) -> set[int]:
         if not new:
             return closed
         closed |= new
+
+
+def q3_witness_by_triples(op) -> tuple[int, int, int] | None:
+    """The first (x, y, z) in lexicographic order with
+    (x ^ y) ^ z != (x ^ z) ^ (y ^ z), or None."""
+    n = len(op)
+    for x in range(n):
+        for y in range(n):
+            xy = op[x][y]
+            for z in range(n):
+                if op[xy][z] != op[op[x][z]][op[y][z]]:
+                    return x, y, z
+    return None
+
+
+def identity_by_scan(product) -> int | None:
+    """The first c with c * i = i * c = i for every i, or None."""
+    n = len(product)
+    for c in range(n):
+        if all(product[c][i] == i and product[i][c] == i for i in range(n)):
+            return c
+    return None
+
+
+def inverses_by_scan(product, identity: int) -> list[int | None]:
+    """Each i's first j with i * j = j * i = identity, or None if it has none."""
+    n = len(product)
+    return [
+        next(
+            (j for j in range(n)
+             if product[i][j] == identity and product[j][i] == identity),
+            None,
+        )
+        for i in range(n)
+    ]
 
 
 def all_transvections(n: int) -> list[Transvection]:

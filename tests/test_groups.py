@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 import symq
 from symq import errors
-from symq.budget import SearchBudget
+from symq.budget import SearchBudget, resolve_budget
 from symq.groups import _candidates, _iso_search
 from symq.perms import compose, cycle_type
 
@@ -315,6 +315,30 @@ def test_search_out_of_budget_leaves_one_node_past_the_limit():
     budget = SearchBudget(nodes.used)
     search(find_all=True, budget=budget)
     assert budget.used == budget.limit
+
+
+@pytest.mark.parametrize("value", [2.7, True, False, -0.5, float("inf"), float("nan"), [3]])
+def test_budget_refuses_a_bool_or_a_fractional_number(value):
+    with pytest.raises(ValueError, match=r"^node budget is not an integer: "):
+        resolve_budget(value)
+
+
+def test_budget_reads_integral_numbers_and_digit_strings(monkeypatch):
+    assert resolve_budget(3.0) == 3
+    assert resolve_budget("12") == 12
+    monkeypatch.setenv("SYMQ_BUDGET", "12")
+    assert resolve_budget() == 12 and SearchBudget().limit == 12
+    monkeypatch.setenv("SYMQ_BUDGET", "2.7")
+    with pytest.raises(ValueError, match=r"^SYMQ_BUDGET is not an integer: '2.7'$"):
+        resolve_budget()
+
+
+def test_cross_check_refuses_a_bool_budget():
+    # True would otherwise run the cross-check under a one-node budget
+    c5 = symq.cyclic_group(5)
+    inv = symq.inversion_automorphism(c5)
+    with pytest.raises(ValueError, match=r"^node budget is not an integer: True$"):
+        symq.cross_check_sq(c5, inv, budget=True)
 
 
 # -- centralizer ------------------------------------------------------------------
