@@ -195,11 +195,10 @@ def dihedral_group(m: int) -> FiniteGroup:
 
 
 def _perm_table(elements: list[tuple[int, ...]]) -> FiniteGroup:
+    """Row p, column q holds p after q, which q's gather makes from p."""
     index = {p: i for i, p in enumerate(elements)}
-    rows = [
-        [index[perms.compose(p, q)] for q in elements]
-        for p in elements
-    ]
+    after = [perms.gather(q) for q in elements]
+    rows = [[index[by_q(p)] for by_q in after] for p in elements]
     return _group_from_rows(rows)
 
 

@@ -94,7 +94,10 @@ class SqClassification:
     centralizer orbits on the fixed self-inverse elements (element lists)
     when the quandle is a connected kei built from a (group, automorphism)
     pair.  Both are tuples of ascending member tuples ordered by smallest
-    member.  A field the requested routes do not produce is None.
+    member.  `agreement` holds when the two partitions are equal, each
+    orbit's translations being exactly one brute-force class, so every good
+    involution is a translation.  A field the requested routes do not
+    produce is None.
     `outcome` is "budget" only in the catalog, for an entry whose searches
     ran out of nodes; its route fields are then all None.  `orbit_count` is
     None only for a group whose automorphisms could not be listed, where no
@@ -213,10 +216,11 @@ def exists_good_involution_galex(group: FiniteGroup, phi: GroupAutomorphism) -> 
 # -- the closed form --------------------------------------------------------------
 
 def rho_r(group: FiniteGroup, phi: GroupAutomorphism, r: int) -> tuple[int, ...]:
-    """Left translation x -> r x for a fixed self-inverse element r."""
+    """Left translation x -> r x for a fixed self-inverse element r: row r
+    of the product table."""
     if r not in fixed_two_torsion(group, phi):
         raise NotFixedTwoTorsion(r)
-    return tuple(group.product[r][x] for x in range(group.order))
+    return group.product[r]
 
 
 def good_involutions_closed_form(
@@ -419,27 +423,6 @@ def _theorem_classes(
     return tuple(tuple(fixed[i] for i in orbit) for orbit in part.orbits)
 
 
-def _classes_agree(
-    rhos: list[tuple[int, ...]],
-    brute: tuple[tuple[int, ...], ...],
-    theorem: tuple[tuple[int, ...], ...],
-    translation: dict[int, tuple[int, ...]],
-) -> bool:
-    """Equal class counts, each orbit's translations in one brute-force
-    class, and distinct orbits in distinct classes."""
-    if len(brute) != len(theorem):
-        return False
-    index = {p: i for i, p in enumerate(rhos)}
-    member_class = {i: label for label, members in enumerate(brute) for i in members}
-    labels = []
-    for cls in theorem:
-        found = {member_class.get(index.get(translation[r])) for r in cls}
-        if len(found) != 1 or None in found:
-            return False
-        labels.append(found.pop())
-    return len(set(labels)) == len(labels)
-
-
 def _analyze(
     q: FiniteQuandle,
     budget: SearchBudget,
@@ -499,19 +482,26 @@ def _analyze(
             rhos, brute, nodes = hit
             budget.spend(nodes)
     if theorem and failure is None:
-        translation = {r: origin.group.product[r] for r in fixed}
+        # row r of the table is the translation x -> r x
+        product = origin.group.product
         if not oracle:
-            for r, p in translation.items():
-                violation = check_good_involution(q, p)
+            for r in fixed:
+                violation = check_good_involution(q, product[r])
                 if violation is not None:
                     raise InternalConsistencyError(
                         f"translation by {r} is not a good involution: {violation}"
                     )
-            rhos = sorted(translation.values())
+            rhos = sorted(product[r] for r in fixed)
         if classify:
             classes = _theorem_classes(origin, fixed, budget)
             if oracle:
-                agreement = _classes_agree(rhos, brute, classes, translation)
+                # the orbits' translations, as oracle indices (-1 if absent),
+                # must be exactly the brute-force classes
+                index = {p: i for i, p in enumerate(rhos)}
+                agreement = set(brute) == {
+                    tuple(sorted(index.get(product[r], -1) for r in cls))
+                    for cls in classes
+                }
     return SqClassification(
         order=q.order,
         origin=origin,
@@ -552,9 +542,9 @@ def cross_check_sq(
 ) -> SqClassification:
     """Run the brute-force classifier, and the orbit classifier when it applies.
 
-    Agreement means: equal class counts, and the translations belonging to
-    each centralizer orbit all land in one brute-force class, distinct
-    orbits in distinct classes.  When a hypothesis fails the orbit route is
+    Agreement means the two partitions are equal: the translations by each
+    centralizer orbit are exactly one brute-force class, so every good
+    involution is a translation.  When a hypothesis fails the orbit route is
     skipped and the notes say which one.  One budget bounds both routes.
     """
     q = galex(group, phi)

@@ -40,11 +40,6 @@ def invert(perm: Sequence[int]) -> tuple[int, ...]:
     return tuple(inv)
 
 
-def compose(p: Sequence[int], q: Sequence[int]) -> tuple[int, ...]:
-    """Composition p after q: x -> p[q[x]]."""
-    return tuple(p[x] for x in q)
-
-
 def gather(indices: Sequence[int]):
     """Map a row r to tuple(r[i] for i in indices) at C speed; itemgetter of
     one index returns the bare item, but a one-entry row is its own gather."""

@@ -298,7 +298,7 @@ def f_sharp(q: FiniteQuandle, f: QuandleMap) -> GroupAutomorphism:
             f"normalized map is not a group automorphism: {exc}"
         ) from None
     phi = origin.perm
-    if perms.compose(sharp.perm, phi) != perms.compose(phi, sharp.perm):
+    if perms.gather(phi)(sharp.perm) != perms.gather(sharp.perm)(phi):
         raise InternalConsistencyError(
             "normalized automorphism does not commute with the twisting map"
         )
@@ -317,7 +317,7 @@ def affine_automorphism(
     if not 0 <= c < group.order:
         raise BadElement(c, group.order)
     phi = origin.perm
-    if perms.compose(psi.perm, phi) != perms.compose(phi, psi.perm):
+    if perms.gather(phi)(psi.perm) != perms.gather(psi.perm)(phi):
         raise NotCentralizing(
             "automorphism does not commute with the twisting map"
         )

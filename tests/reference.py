@@ -17,13 +17,17 @@ every pair, for tests to check the package's generating-set walk with.
 `q3_witness_by_triples`, `identity_by_scan` and `inverses_by_scan` are the
 table validators' axiom loops read cell by cell, for tests to compare the
 package's row and column scans with.
+`compose` multiplies permutations entry by entry, independently of the
+package's row gathers, for tests to build and check permutation tables with.
+`drop_last_of_largest` takes one member out of a partition, for tests to
+feed the agreement rule a closed form that misses a good involution.
 PSL(2,7) is built here, from its Moebius maps, because no group spec names
 it, and so is the disconnected S4 kei that two tests pin.  `run_with_exact_budget` pins the nodes a search spends.
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterator
+from collections.abc import Callable, Iterator, Sequence
 from itertools import permutations
 from pathlib import Path
 from typing import TypeVar
@@ -32,7 +36,7 @@ import pytest
 
 import symq
 from symq import errors
-from symq.perms import compose, cycle_type, invert
+from symq.perms import cycle_type, invert
 from symq.tableio import format_table
 from symq.torus import Transvection
 
@@ -41,6 +45,19 @@ T = TypeVar("T")
 # The plain filter walks every involutive permutation; past this order the
 # count explodes and the search-based enumerator must be used.
 _FILTER_MAX_ORDER = 12
+
+
+def compose(p: Sequence[int], q: Sequence[int]) -> tuple[int, ...]:
+    """Composition p after q: x -> p[q[x]]."""
+    return tuple(p[x] for x in q)
+
+
+def drop_last_of_largest(
+    blocks: tuple[tuple[int, ...], ...],
+) -> tuple[tuple[int, ...], ...]:
+    """The blocks with the last member of the first largest one removed."""
+    largest = max(blocks, key=len)
+    return tuple(block[:-1] if block is largest else block for block in blocks)
 
 
 def involutions(n: int) -> Iterator[tuple[int, ...]]:

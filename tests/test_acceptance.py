@@ -13,10 +13,9 @@ import pytest
 
 import symq
 from symq.cli import main
-from symq.perms import compose
 from symq.tableio import read_table
 
-from reference import enumerate_good_involutions_by_filter, write_table
+from reference import compose, enumerate_good_involutions_by_filter, write_table
 
 
 def announce(number: int, description: str) -> None:

@@ -7,7 +7,7 @@ import symq
 from symq.cli import main
 from symq.report import _analysis_report, emit_report, emit_reports, to_json, to_text
 
-from reference import write_table
+from reference import drop_last_of_largest, write_table
 
 
 def run(capsys, *argv):
@@ -84,6 +84,20 @@ def test_group_parse_error_exit_code(capsys):
     code, _, err = run(capsys, "group", "build", "--group", "cyclic:-1")
     assert code == 1
     assert "offset" in err
+
+
+@pytest.mark.parametrize(
+    "spec, message",
+    [
+        ("cyclic:0", "cyclic group needs order >= 1, got 0"),
+        ("symmetric:0", "symmetric group needs k >= 1, got 0"),
+        ("alternating:2", "alternating group needs k >= 3, got 2"),
+    ],
+)
+def test_group_build_refuses_what_the_constructor_refuses(capsys, spec, message):
+    code, out, err = run(capsys, "group", "build", "--group", spec)
+    assert code == 1 and out == ""
+    assert err == f"error: {message}\n"
 
 
 # -- quandle commands ---------------------------------------------------------------
@@ -220,6 +234,24 @@ def test_sq_crosscheck_disagreement_exits_three(capsys, monkeypatch):
     )
     code, out, err = run(
         capsys, "sq", "crosscheck", "--group", "cyclic:9", "--aut", "inv"
+    )
+    assert code == 3
+    assert json.loads(out)["agreement"] is False
+    assert err == "classification routes disagree\n"
+
+
+def test_sq_crosscheck_exits_three_on_a_short_theorem_class(capsys, monkeypatch):
+    # the real comparison, not a patched result: the largest centralizer
+    # orbit loses its last member, so one good involution is no translation
+    from symq import involutions
+
+    theorem_classes = involutions._theorem_classes
+    monkeypatch.setattr(
+        involutions, "_theorem_classes",
+        lambda *args: drop_last_of_largest(theorem_classes(*args)),
+    )
+    code, out, err = run(
+        capsys, "sq", "crosscheck", "--group", "alternating:5", "--aut", "conj:3"
     )
     assert code == 3
     assert json.loads(out)["agreement"] is False

@@ -10,9 +10,9 @@ import symq
 from symq import errors
 from symq.budget import SearchBudget, resolve_budget
 from symq.groups import _candidates, _iso_search
-from symq.perms import compose, cycle_type
+from symq.perms import cycle_type
 
-from reference import orbits_by_union_find, psl27, run_with_exact_budget
+from reference import compose, orbits_by_union_find, psl27, run_with_exact_budget
 
 # Latin square with identity 0 and two-sided inverses that is not associative.
 NONASSOC_LOOP = [
@@ -117,6 +117,29 @@ def test_alternating_group_4():
     g = symq.alternating_group(4)
     assert g.order == 12
     symq.validate_group(g.product)
+
+
+def test_permutation_tables_compose_point_by_point():
+    # row p, column q holds p after q; the lists are lexicographic, the
+    # alternating ones keeping the permutations with evenly many inversions
+    def even(p):
+        return sum(a > b for i, a in enumerate(p) for b in p[i + 1:]) % 2 == 0
+
+    for k in range(1, 6):
+        every = sorted(permutations(range(k)))
+        pairs = [(symq.symmetric_group(k), every)]
+        if k >= 3:
+            pairs.append((symq.alternating_group(k), [p for p in every if even(p)]))
+        for group, elements in pairs:
+            index = {p: i for i, p in enumerate(elements)}
+            assert group.product == tuple(
+                tuple(index[compose(p, q)] for q in elements) for p in elements
+            ), (k, group.order)
+
+
+def test_direct_product_needs_two_factors():
+    with pytest.raises(errors.UnsupportedOrder, match="at least two factors"):
+        symq.direct_product([symq.cyclic_group(2)])
 
 
 def test_group_invariants_across_builtins(small_family):
@@ -260,7 +283,7 @@ def test_automorphisms_match_brute_force(small_family):
 
 def test_aut_group_closure(d3):
     auts = [a.perm for a in symq.enumerate_automorphisms(d3)]
-    from symq.perms import compose, identity_perm, invert
+    from symq.perms import identity_perm, invert
 
     assert identity_perm(6) in auts
     for a in auts:

@@ -11,11 +11,13 @@ import symq
 from symq import errors
 from symq.budget import SearchBudget
 from symq.groups import _candidates, _iso_search
-from symq.perms import compose, invert
+from symq.perms import invert
 
 from reference import (
     automorphism_orbit_classes,
+    compose,
     disconnected_s4_kei,
+    drop_last_of_largest,
     enumerate_good_involutions_by_filter,
     involutions,
     partition_values,
@@ -415,6 +417,63 @@ def test_cross_check_node_total_over_connected_a4_a5_keis(a5_connected_keis):
         result = _analyze(q, budget, oracle=True, theorem=True, classify=True)
         assert result.agreement is True
     assert (len(keis), budget.used) == (31, 4_523)
+
+
+@pytest.mark.parametrize(
+    "mutate",
+    [drop_last_of_largest, lambda classes: (tuple(sorted(sum(classes, ()))),)],
+    ids=["drops_a_member", "merges_all"],
+)
+def test_agreement_fails_on_wrong_theorem_classes(monkeypatch, a5_connected_keis, mutate):
+    # the routes agree only when the partitions are equal.  An orbit short of
+    # one member leaves the counts equal and each orbit inside one class, so
+    # only the equality sees that a good involution is no translation
+    from symq import involutions as module
+
+    theorem_classes = module._theorem_classes
+    monkeypatch.setattr(
+        module, "_theorem_classes", lambda *args: mutate(theorem_classes(*args))
+    )
+    agreements = [
+        symq.cross_check_sq(phi.group, phi).agreement for phi, _ in a5_connected_keis
+    ]
+    assert agreements == [False] * 25
+
+
+def test_agreement_fails_when_every_search_stops_at_one_result(
+    monkeypatch, a5_connected_keis
+):
+    # a search weakened for every caller: the oracle, the partition and the
+    # centralizer each keep at most their first result
+    from symq import groups
+    from symq import involutions as module
+
+    a4 = symq.alternating_group(4)
+    a4_quandles = [symq.galex(a4, phi) for phi in symq.enumerate_automorphisms(a4)]
+    twists = [q.origin for q in a4_quandles if symq.is_kei(q) and symq.is_connected(q)]
+    twists += [phi for phi, _ in a5_connected_keis]
+    search = groups._iso_search
+
+    def first_only(*args, **kwargs):
+        return search(*args, **kwargs)[:1]
+
+    monkeypatch.setattr(groups, "_iso_search", first_only)
+    monkeypatch.setattr(module, "_iso_search", first_only)
+    agreements = [symq.cross_check_sq(phi.group, phi).agreement for phi in twists]
+    assert agreements == [False] * 31
+
+
+def test_agreement_fails_when_the_oracle_misses_a_translation(monkeypatch):
+    from symq import involutions as module
+
+    good_involutions = module._good_involutions
+    monkeypatch.setattr(
+        module, "_good_involutions", lambda q, budget: good_involutions(q, budget)[:-1]
+    )
+    g = symq.alternating_group(5)
+    result = symq.cross_check_sq(g, symq.parse_aut_spec("conj:3", g))
+    assert len(result.good_involutions) == 3 and len(result.fixed_two_torsion) == 4
+    assert result.agreement is False
 
 
 def test_inner_orbits_run_once_per_analysis(monkeypatch):

@@ -8,11 +8,12 @@ from hypothesis import strategies as st
 import symq
 from symq import errors
 from symq.budget import SearchBudget
-from symq.perms import compose, invert
+from symq.perms import invert
 from symq.groups import FiniteGroup, GroupAutomorphism, _candidates, _iso_search
 from symq.quandles import _generating_set
 
 from reference import (
+    compose,
     disconnected_s4_kei,
     galex_tables,
     generated_subquandle,
@@ -490,6 +491,15 @@ def test_f_sharp_refuses_a_hand_built_non_map(z5):
         symq.f_sharp(r5, f)
 
 
+def test_f_sharp_refuses_an_automorphism_of_another_quandle(r3, z3):
+    # the trivial quandle on Z/3 has r3's order, and its identity map is an
+    # automorphism of it, not of r3
+    trivial = symq.galex(z3, symq.identity_automorphism(z3))
+    f = symq.quandle_map(trivial, trivial, [0, 1, 2])
+    with pytest.raises(ValueError, match="^map is not an automorphism of this quandle$"):
+        symq.f_sharp(r3, f)
+
+
 # -- affine_automorphism ------------------------------------------------------------------
 
 
@@ -513,7 +523,6 @@ def test_affine_negation_roundtrip(r3, z3):
 def test_affine_rejects_non_centralizing():
     g = symq.direct_product([symq.cyclic_group(2)] * 3)
     auts = symq.enumerate_automorphisms(g)
-    from symq.perms import compose
 
     phi = next(a for a in auts if compose(a.perm, a.perm) == tuple(range(8)) and not a.is_identity())
     q = symq.galex(g, phi)
@@ -542,7 +551,6 @@ def test_affine_bad_translation_index(r3, z3):
 def test_affine_f_sharp_bijection_small_catalog(small_family):
     # On connected quandles the affine maps are exactly the automorphisms:
     # (psi, c) -> psi(x) c is injective and f -> (f_sharp, f(e)) undoes it.
-    from symq.perms import compose
 
     for label, g in small_family:
         for phi in symq.enumerate_automorphisms(g):

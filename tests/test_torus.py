@@ -152,6 +152,13 @@ def test_bitvector_printing():
     assert v.coord(0) == 1 and v.coord(1) == 0
 
 
+def test_bitvector_refuses_bits_outside_its_dimension():
+    with pytest.raises(ValueError, match="bits 8 out of range for dimension 3"):
+        symq.BitVector(3, 8)
+    with pytest.raises(ValueError, match="bits -1 out of range for dimension 2"):
+        symq.BitVector(2, -1)
+
+
 def test_transvection_requires_distinct_indices():
     with pytest.raises(ValueError):
         Transvection(1, 1)
