@@ -355,10 +355,12 @@ def _iso_search(
     leave some x with none, and the search returns at once.  Variables are
     assigned in ascending element order with ascending candidate values, so
     results come out in lexicographic order and a self-search always
-    reports the identity first.  One budget node is charged per candidate
-    tried, counted locally and added to `budget` on exit.  One frame loop
-    makes every step, undo included; its levels are frames on an explicit
-    stack, so depth n is bounded in memory, not by the recursion limit.
+    reports the identity first.  There is at least one element, since every
+    validator and constructor refuses an empty table.  One budget node is
+    charged per candidate tried, counted locally and added to `budget` on
+    exit.  One frame loop makes every step, undo included; its levels are
+    frames on an explicit stack, so depth n is bounded in memory, not by the
+    recursion limit.
 
     The tables are both groups or both quandles.  An element whose image
     comes from the branch, a pair or the swap is a generator; one whose
@@ -394,15 +396,21 @@ def _iso_search(
     assignment's outcome are those that pushing every element's pair gives.
     The closure is the same in any processing order, so the search tree
     does not depend on it.
+
+    Without tables, an assignment a -> b where b already has an image c
+    other than a is not refused on the spot, yet its node fails all the
+    same.  The first assignment x -> y of each cycle of img pushes the swap
+    y -> x, so a node can only succeed with img[img[x]] = x for every mapped
+    x; here either c -> b holds, and `used[b]` refused a -> b, or the swap
+    c -> b is still pending and fails when it pops, as c has another image
+    or b is used.  Nodes are counted per candidate and a failed node is
+    rolled back, so the tree and the node count are the same.
     """
     n = len(candidates)
     involutive = op1 is None
     if not all(candidates):
         return []
     cand_sets = [frozenset(c) for c in candidates]
-
-    if n == 0:
-        return [()]  # the empty map
     img = [-1] * n
     used = [False] * n
     done: list[int] = []  # the elements with an image, in assignment order
@@ -443,12 +451,8 @@ def _iso_search(
                         img[a] = b
                         used[b] = True
                         done.append(a)
-                        if involutive:
-                            ib = img[b]
-                            if ib < 0:
-                                stack.append((b, a))
-                            elif ib != a:
-                                break
+                        if involutive and img[b] < 0:
+                            stack.append((b, a))
                         if generator:
                             for p1, p2 in pairs:
                                 stack.append((p1[a], p2[b]))

@@ -32,22 +32,36 @@ __all__ = [
 MAX_DIMENSION = 20
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class BitVector:
-    """Point of F_2^n; bit n-1-i of `bits` holds coordinate i (leftmost first)."""
+    """Point of F_2^n; bit n-1-i of `bits` holds coordinate i (leftmost first).
+
+    The constructor checks the range, then writes both fields through the
+    slot descriptors, so a point costs one Python frame; the torus functions
+    build one per point they return.  Frozen assignment, equality, hashing,
+    repr and `dataclasses.replace` (which calls the constructor) stay the
+    dataclass's own.
+    """
 
     n: int
     bits: int
 
-    def __post_init__(self) -> None:
-        if not 0 <= self.bits < (1 << self.n):
-            raise ValueError(f"bits {self.bits} out of range for dimension {self.n}")
+    def __init__(self, n: int, bits: int) -> None:
+        if not 0 <= bits < (1 << n):
+            raise ValueError(f"bits {bits} out of range for dimension {n}")
+        _set_n(self, n)
+        _set_bits(self, bits)
 
     def coord(self, i: int) -> int:
         return (self.bits >> (self.n - 1 - i)) & 1
 
     def __str__(self) -> str:
         return format(self.bits, f"0{self.n}b")
+
+
+# taken from the class that @dataclass(slots=True) made, with its own slots
+_set_n = BitVector.n.__set__
+_set_bits = BitVector.bits.__set__
 
 
 @dataclass(frozen=True, slots=True)

@@ -319,6 +319,22 @@ def test_classify_trivial_quandle_by_two_cycles(n):
     assert list(result.classes_bruteforce) == expected
 
 
+def test_trivial_order_10_pinned():
+    # the tableless involutive search and the partition on the trivial
+    # table of order 10: every involution of S_10 is good, and class k holds
+    # the C(10, 2k) (2k - 1)!! involutions with k 2-cycles
+    from symq.involutions import _good_involutions, _partition_by_isomorphism
+
+    g = symq.cyclic_group(10)
+    q = symq.galex(g, symq.identity_automorphism(g))
+    budget = SearchBudget()
+    rhos = _good_involutions(q, budget)
+    oracle = budget.used
+    classes = _partition_by_isomorphism(q, rhos, budget, symq.inner_orbits(q))
+    assert (len(rhos), oracle, budget.used - oracle) == (9_496, 21_361, 15_224)
+    assert tuple(map(len, classes)) == (1, 45, 630, 3150, 4725, 945)
+
+
 def test_partition_raises_on_a_missing_conjugate(klein):
     # with (3 2 1 0) left out of the trivial quandle's list, a witness
     # conjugates another double transposition onto it, which the

@@ -1,4 +1,7 @@
+import copy
+import dataclasses
 import json
+import pickle
 import time
 from collections import deque
 
@@ -157,6 +160,37 @@ def test_bitvector_refuses_bits_outside_its_dimension():
         symq.BitVector(3, 8)
     with pytest.raises(ValueError, match="bits -1 out of range for dimension 2"):
         symq.BitVector(2, -1)
+
+
+def test_bitvector_is_a_frozen_dataclass():
+    v = symq.BitVector(4, 0b1010)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        v.bits = 3
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        v.n = 5
+    assert repr(v) == "BitVector(n=4, bits=10)"
+    assert symq.BitVector.__match_args__ == ("n", "bits")
+    assert v == symq.BitVector(n=4, bits=10) and hash(v) == hash(symq.BitVector(4, 10))
+    assert v != symq.BitVector(5, 10) and v != symq.BitVector(4, 11)
+    assert len({v, symq.BitVector(4, 10), symq.BitVector(4, 11)}) == 2
+
+
+def test_bitvector_replace_checks_the_range():
+    v = symq.BitVector(4, 0b1010)
+    assert dataclasses.replace(v, bits=15) == symq.BitVector(4, 15)
+    with pytest.raises(ValueError, match="bits 16 out of range for dimension 4"):
+        dataclasses.replace(v, bits=16)
+    with pytest.raises(ValueError, match="bits 10 out of range for dimension 3"):
+        dataclasses.replace(v, n=3)
+
+
+@pytest.mark.parametrize("clone", [
+    lambda v: pickle.loads(pickle.dumps(v)), copy.copy, copy.deepcopy,
+], ids=["pickle", "copy", "deepcopy"])
+def test_bitvector_round_trips(clone):
+    v = symq.BitVector(4, 0b1010)
+    w = clone(v)
+    assert w == v and (w.n, w.bits) == (4, 10) and type(w) is symq.BitVector
 
 
 def test_transvection_requires_distinct_indices():
