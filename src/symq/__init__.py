@@ -14,7 +14,6 @@ from .catalog import (
     abelian_invariant_chains,
     catalog_entries,
     catalog_family,
-    entry_report,
     run_catalog,
 )
 from .errors import (

@@ -26,7 +26,6 @@ __all__ = [
     "catalog_family",
     "abelian_invariant_chains",
     "run_catalog",
-    "entry_report",
 ]
 
 
@@ -111,16 +110,6 @@ def _entry_analysis(
     except SearchBudgetExceeded as exc:
         note = f"cross-check aborted: {exc}"
         return replace(_analyze(q, SearchBudget(0)), outcome="budget", notes=(note,))
-
-
-def entry_report(entry: CatalogEntry, budget: int | None = None) -> dict:
-    """Full cross-checked report for one (group, automorphism) pair.
-
-    Budget exhaustion never raises out of here; it leaves the route fields
-    null and explains itself in the notes.  Its elapsed_ms is null, as in
-    `run_catalog`.
-    """
-    return _analysis_report(_entry_analysis(entry, budget), entry.label, None)
 
 
 def run_catalog(

@@ -21,6 +21,8 @@ package's row and column scans with.
 package's row gathers, for tests to build and check permutation tables with.
 `drop_last_of_largest` takes one member out of a partition, for tests to
 feed the agreement rule a closed form that misses a good involution.
+`entry_report` analyses one catalog entry afresh, sharing no table with any
+other, for tests to compare the catalog's reused analyses with.
 PSL(2,7) is built here, from its Moebius maps, because no group spec names
 it, and so is the disconnected S4 kei that two tests pin.  `run_with_exact_budget` pins the nodes a search spends.
 """
@@ -36,7 +38,9 @@ import pytest
 
 import symq
 from symq import errors
+from symq.catalog import _entry_analysis
 from symq.perms import cycle_type, invert
+from symq.report import _analysis_report
 from symq.tableio import format_table
 from symq.torus import Transvection
 
@@ -243,6 +247,16 @@ def inverses_by_scan(product, identity: int) -> list[int | None]:
 def all_transvections(n: int) -> list[Transvection]:
     """Every shear E_ij of F_2^n, i != j."""
     return [Transvection(i, j) for i in range(n) for j in range(n) if i != j]
+
+
+def entry_report(entry: symq.CatalogEntry, budget: int | None = None) -> dict:
+    """Full cross-checked report for one (group, automorphism) pair.
+
+    Budget exhaustion never raises out of here; it leaves the route fields
+    null and explains itself in the notes.  Its elapsed_ms is null, as in
+    `run_catalog`.
+    """
+    return _analysis_report(_entry_analysis(entry, budget), entry.label, None)
 
 
 def write_table(path, table) -> None:

@@ -492,6 +492,41 @@ def test_agreement_fails_when_the_oracle_misses_a_translation(monkeypatch):
     assert result.agreement is False
 
 
+def test_theorem_classes_refuse_a_fixed_set_the_centralizer_moves(monkeypatch):
+    # the fixed self-inverse elements of A5's conj:3 twist are 0, 3, 8 and 11,
+    # and the centralizer swaps 8 and 11; without 11 the set is not stable
+    from symq import involutions as module
+
+    fixed_two_torsion = module.fixed_two_torsion
+    monkeypatch.setattr(
+        module, "fixed_two_torsion", lambda g, phi: fixed_two_torsion(g, phi)[:-1]
+    )
+    g = symq.alternating_group(5)
+    with pytest.raises(
+        errors.InternalConsistencyError,
+        match="^fixed self-inverse set is not stable under the centralizer$",
+    ):
+        symq.cross_check_sq(g, symq.parse_aut_spec("conj:3", g))
+
+
+def test_theorem_route_alone_checks_each_translation(monkeypatch):
+    # without the oracle, each translation is checked against the definition;
+    # element 1 of A5 is not self-inverse, so its translation is no involution
+    from symq import involutions as module
+
+    fixed_two_torsion = module.fixed_two_torsion
+    monkeypatch.setattr(
+        module, "fixed_two_torsion", lambda g, phi: fixed_two_torsion(g, phi) + (1,)
+    )
+    g = symq.alternating_group(5)
+    with pytest.raises(
+        errors.InternalConsistencyError,
+        match=r"^translation by 1 is not a good involution: "
+        r"InvolutionViolation\(condition='involution', witness=\(0,\)\)$",
+    ):
+        symq.classify_sq_theorem(g, symq.parse_aut_spec("conj:3", g))
+
+
 def test_inner_orbits_run_once_per_analysis(monkeypatch):
     # the partition takes the orbits the analysis computed for its facts
     from symq import involutions as module

@@ -500,6 +500,48 @@ def test_f_sharp_refuses_an_automorphism_of_another_quandle(r3, z3):
         symq.f_sharp(r3, f)
 
 
+def test_f_sharp_guard_catches_a_normalization_that_is_no_automorphism(
+    monkeypatch, z5
+):
+    # the normalization of a quandle automorphism is a group automorphism;
+    # with the check of f skipped, (1 2)(3 4) on R5, which preserves neither
+    # the operation nor sums, reaches it and is normalized to itself
+    from symq import quandles
+
+    r5 = symq.galex(z5, symq.inversion_automorphism(z5))
+    monkeypatch.setattr(quandles, "quandle_map", lambda *args: None)
+    f = symq.QuandleMap(source=r5, target=r5, perm=(0, 2, 1, 4, 3))
+    with pytest.raises(
+        errors.InternalConsistencyError,
+        match=r"^normalized map is not a group automorphism: "
+        r"map does not preserve products at \(1, 1\)$",
+    ):
+        symq.f_sharp(r5, f)
+
+
+def test_f_sharp_guard_catches_a_normalization_off_the_centralizer(monkeypatch):
+    # the normalization commutes with the twist; with the check of f skipped,
+    # an automorphism of A4 that does not commute with a connected kei's
+    # twist is its own normalization, and the commutation check refuses it
+    from symq import quandles
+
+    a4 = symq.alternating_group(4)
+    phi = symq.validate_automorphism(a4, (0, 2, 1, 3, 5, 4, 9, 10, 11, 6, 7, 8))
+    q = symq.galex(a4, phi)
+    assert symq.is_kei(q) and symq.is_connected(q)
+    psi = next(
+        a
+        for a in symq.enumerate_automorphisms(a4)
+        if compose(a.perm, phi.perm) != compose(phi.perm, a.perm)
+    )
+    monkeypatch.setattr(quandles, "quandle_map", lambda *args: None)
+    with pytest.raises(
+        errors.InternalConsistencyError,
+        match="^normalized automorphism does not commute with the twisting map$",
+    ):
+        symq.f_sharp(q, symq.QuandleMap(source=q, target=q, perm=psi.perm))
+
+
 # -- affine_automorphism ------------------------------------------------------------------
 
 
@@ -540,6 +582,23 @@ def test_affine_refuses_a_hand_built_non_automorphism(z5):
     r5 = symq.galex(z5, symq.inversion_automorphism(z5))
     psi = GroupAutomorphism(group=z5, perm=(0, 2, 1, 4, 3))
     with pytest.raises(errors.NotMultiplicative, match=r"at \(1, 1\)$"):
+        symq.affine_automorphism(r5, psi, 0)
+
+
+def test_affine_guard_catches_a_map_that_breaks_the_operation(monkeypatch, z5):
+    # psi(x) c preserves the operation whenever psi is an automorphism that
+    # commutes with the twist; with the automorphism check skipped,
+    # (1 2)(3 4) commutes with inversion on Z/5 and reaches the map's check
+    from symq import quandles
+
+    r5 = symq.galex(z5, symq.inversion_automorphism(z5))
+    monkeypatch.setattr(quandles, "validate_automorphism", lambda *args: None)
+    psi = GroupAutomorphism(group=z5, perm=(0, 2, 1, 4, 3))
+    with pytest.raises(
+        errors.InternalConsistencyError,
+        match=r"^affine map failed to preserve the operation: "
+        r"map does not preserve the quandle operation at \(0, 1\)$",
+    ):
         symq.affine_automorphism(r5, psi, 0)
 
 

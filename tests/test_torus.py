@@ -101,6 +101,23 @@ def test_model_inconsistency_reports_partial_orbit():
         _class_count_with_generators(3, [Transvection(0, 1)])
 
 
+def test_model_inconsistency_fires_when_the_zero_vector_moves(monkeypatch):
+    # no linear map moves 0; an orbit closure that lets 0 reach e_n, point 1,
+    # breaks the two-orbit count
+    from symq import torus
+
+    orbit_bitmap = torus._orbit_bitmap
+
+    def leaky(start, moves):
+        return orbit_bitmap(start, moves) | (0b10 if start == 0 else 0)
+
+    monkeypatch.setattr(torus, "_orbit_bitmap", leaky)
+    with pytest.raises(
+        errors.ModelInconsistency, match="^shear maps moved the zero vector$"
+    ):
+        symq.torus_sq_class_count(3)
+
+
 def reference_orbit(n, v):
     """Breadth-first closure of v under every shear, one `apply` per step."""
     seen = {v.bits}
