@@ -307,7 +307,8 @@ def _candidates(
 ) -> list[Sequence[int]]:
     """Each x's candidate images in a search between two tables whose columns
     have these cycle types: the v, ascending, whose column has x's cycle type
-    and that each pair's p2 fixes exactly when its p1 fixes x.
+    and that each pair's p2 fixes exactly when its p1 fixes x.  They meet the
+    precondition of `_iso_search`, which checks them only where it branches.
 
     When the two multisets of types differ no isomorphism exists, and no x
     has a candidate.
@@ -347,20 +348,18 @@ def _iso_search(
     assignment a -> b also asks for b -> a.  With tables, p1 and p2
     must each be an automorphism of its table, as (phi, phi) is, or a good
     involution of it, as (rho1, rho2) is; without tables they may be any
-    permutations.  The candidate images of x are `candidates[x]`, and the
-    search is exhaustive over them.  Between two tables they come from
-    `_candidates` on the tables' kept column cycle types (preserved by any
-    isomorphism; on a group table the element order), or from a finer
-    invariant, as in the partition; unequal orders or multisets of types
-    leave some x with none, and the search returns at once.  Variables are
-    assigned in ascending element order with ascending candidate values, so
-    results come out in lexicographic order and a self-search always
-    reports the identity first.  There is at least one element, since every
-    validator and constructor refuses an empty table.  One budget node is
-    charged per candidate tried, counted locally and added to `budget` on
-    exit.  One frame loop makes every step, undo included; its levels are
-    frames on an explicit stack, so depth n is bounded in memory, not by the
-    recursion limit.
+    permutations.  The candidate images of x are `candidates[x]`; only the
+    branch reads them, and an image that propagation implies is not checked
+    against them (the last paragraph says why that is exact).  Unequal
+    orders or multisets of types leave some x with none, and the search
+    returns at once.  Variables are assigned in ascending element order
+    with ascending candidate values, so results come out in lexicographic
+    order and a self-search always reports the identity first.  There is
+    at least one element, since every validator and constructor refuses an
+    empty table.  One budget node is charged per candidate tried, counted
+    locally and added to `budget` on exit.  One frame loop makes every
+    step, undo included; its levels are frames on an explicit stack, so
+    depth n is bounded in memory, not by the recursion limit.
 
     The tables are both groups or both quandles.  An element whose image
     comes from the branch, a pair or the swap is a generator; one whose
@@ -405,12 +404,30 @@ def _iso_search(
     c -> b is still pending and fails when it pops, as c has another image
     or b is used.  Nodes are counted per candidate and a failed node is
     rolled back, so the tree and the node count are the same.
+
+    Candidates bind only at the branch, which is exact under a precondition
+    every caller meets: `candidates[x]` is the set of elements that share
+    x's invariants, namely the column cycle type and fixedness under each
+    pair (`_candidates`; on a group table the type is the element order),
+    the partition's five values, or the oracle's column condition.  The one
+    exception is element 0, branched first, which the partition cuts to
+    orbit minima; no image of it is ever implied.  Propagation keeps those
+    invariants.  Between quandles, an edge's implied image t -> u has S_t
+    conjugate to an already mapped column by an inner automorphism that
+    commutes with rho (S_(x ^ y) = S_y S_x S_y^-1, Joyce), and S_u conjugate
+    to that column's image in the same way.  A pair's image has a conjugate
+    column, or for a good involution the inverse column.  The oracle's swap
+    b -> a meets the column condition when a -> b does.  On a group table,
+    a closure that completes is an injective homomorphism of the generated
+    subgroup, so it keeps element orders and fixed points.  So checking an
+    implied image against its candidates could fail only inside a closure
+    that fails anyway, and as nodes are counted per branch candidate, the
+    tree and the node count are the same.
     """
     n = len(candidates)
     involutive = op1 is None
     if not all(candidates):
         return []
-    cand_sets = [frozenset(c) for c in candidates]
     img = [-1] * n
     used = [False] * n
     done: list[int] = []  # the elements with an image, in assignment order
@@ -446,7 +463,7 @@ def _iso_search(
                 while a >= 0:
                     ia = img[a]
                     if ia < 0:
-                        if used[b] or b not in cand_sets[a]:
+                        if used[b]:
                             break
                         img[a] = b
                         used[b] = True

@@ -311,7 +311,9 @@ def _partition_by_isomorphism(
     - Only representatives with the same key, the sorted multiset of the
       values, are searched; the key also fixes rho's cycle type, an
       involution's being its number of fixed points.
-    - Each search may map x only to the elements with x's values.
+    - Each search branches x only over the elements with x's values.  They
+      meet the precondition of `_iso_search`, so the search maps each x
+      only to such elements.
     - Each search maps 0 only to the smallest member of an inner orbit.
       Every inner permutation s is an automorphism of q that commutes with
       every good involution (equivariance), so if f carries rho1 to rho2,

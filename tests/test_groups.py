@@ -340,6 +340,15 @@ def test_search_out_of_budget_leaves_one_node_past_the_limit():
     assert budget.used == budget.limit
 
 
+def test_search_with_an_element_without_candidates_returns_at_once():
+    # candidates bind only where the search branches, so the early return is
+    # the only guard: without it 0 -> 1 would imply the swap 1 -> 0, unchecked,
+    # and 2 -> 2 would complete the map (1, 0, 2) after one node
+    budget = SearchBudget()
+    assert _iso_search(find_all=True, budget=budget, candidates=[(1,), (), (2,)]) == []
+    assert budget.used == 0
+
+
 @pytest.mark.parametrize("value", [2.7, True, False, -0.5, float("inf"), float("nan"), [3]])
 def test_budget_refuses_a_bool_or_a_fractional_number(value):
     with pytest.raises(ValueError, match=r"^node budget is not an integer: "):

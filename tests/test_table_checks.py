@@ -10,7 +10,7 @@ compared with the loops kept in `tests/reference.py`.
 import random
 
 import symq
-from symq import errors
+from symq import errors, perms
 
 from reference import identity_by_scan, inverses_by_scan, q3_witness_by_triples
 
@@ -125,6 +125,24 @@ def test_quandle_validation_matches_the_triple_loop():
             kind = "Q3 past column 0"
         kinds.add(kind)
     assert kinds >= {"ok", "Q1Violation", "Q2Violation", "Q3Violation", "Q3 past column 0"}
+
+
+def test_q3_scans_later_columns_only_up_to_the_failing_row(monkeypatch):
+    # passes Q1 and Q2; column 0 fails Q3 at row 0, so columns 1-3 need only
+    # row 0 to tell whether they fail at a smaller (x, y)
+    rows = [[0, 3, 0, 0], [2, 1, 3, 2], [3, 0, 2, 1], [1, 2, 1, 3]]
+    scan = perms.first_mismatch
+    scanned = []
+
+    def recording(t1, *args):
+        scanned.append(len(t1))
+        return scan(t1, *args)
+
+    monkeypatch.setattr(perms, "first_mismatch", recording)
+    got = _outcome(symq.validate_quandle, rows)
+    assert got == _describe(errors.Q3Violation(0, 1, 0))
+    assert q3_witness_by_triples(rows) == (0, 1, 0)
+    assert scanned == [4, 1, 1, 1]
 
 
 def test_group_validation_matches_the_identity_and_inverse_scans():
