@@ -33,6 +33,7 @@ from .errors import (
     SearchBudgetExceeded,
     UnsupportedOrder,
 )
+from .tableio import MAX_BUILT_ORDER
 
 __all__ = [
     "FiniteGroup",
@@ -166,9 +167,29 @@ def _group_from_rows(rows: list[list[int]]) -> FiniteGroup:
     )
 
 
+def _capped_product(factors) -> int:
+    """Product of the factors, cut short once it passes MAX_BUILT_ORDER."""
+    out = 1
+    for f in factors:
+        out *= f
+        if out > MAX_BUILT_ORDER:
+            break
+    return out
+
+
+def _check_build_cap(name: str, order: int) -> None:
+    """Refuse before building a group whose order, capped as
+    `_capped_product` gives it, passes MAX_BUILT_ORDER."""
+    if order > MAX_BUILT_ORDER:
+        raise UnsupportedOrder(
+            f"{name} has order above the build cap of {MAX_BUILT_ORDER}"
+        )
+
+
 def cyclic_group(n: int) -> FiniteGroup:
     if n < 1:
         raise UnsupportedOrder(f"cyclic group needs order >= 1, got {n}")
+    _check_build_cap("cyclic group", n)
     rows = [[(i + j) % n for j in range(n)] for i in range(n)]
     return _group_from_rows(rows)
 
@@ -182,6 +203,7 @@ def dihedral_group(m: int) -> FiniteGroup:
     if m < 1:
         raise UnsupportedOrder(f"dihedral group needs m >= 1, got {m}")
     n = 2 * m
+    _check_build_cap("dihedral group", n)
 
     def mul(a: int, b: int) -> int:
         f1, i1 = divmod(a, m)
@@ -206,6 +228,7 @@ def symmetric_group(k: int) -> FiniteGroup:
     """All permutations of k points in lexicographic order; order k!."""
     if k < 1:
         raise UnsupportedOrder(f"symmetric group needs k >= 1, got {k}")
+    _check_build_cap("symmetric group", _capped_product(range(2, k + 1)))
     return _perm_table(sorted(permutations(range(k))))
 
 
@@ -213,6 +236,7 @@ def alternating_group(k: int) -> FiniteGroup:
     """Even permutations of k points in lexicographic order."""
     if k < 3:
         raise UnsupportedOrder(f"alternating group needs k >= 3, got {k}")
+    _check_build_cap("alternating group", _capped_product(range(3, k + 1)))
     return _perm_table(sorted(p for p in permutations(range(k)) if _is_even(p)))
 
 
@@ -240,6 +264,7 @@ def direct_product(factors: Sequence[FiniteGroup]) -> FiniteGroup:
     """Direct product with mixed-radix index packing, leftmost factor first."""
     if len(factors) < 2:
         raise UnsupportedOrder("direct product needs at least two factors")
+    _check_build_cap("direct product", _capped_product(f.order for f in factors))
     group = factors[0]
     for rhs in factors[1:]:
         group = _product_of_two(group, rhs)
@@ -336,8 +361,10 @@ def _iso_search(
     """Backtracking search for bijections f with f(x * y) = f(x) * f(y).
 
     The one backtracking search of the package.  With op1 = op2 a group
-    table it lists the automorphisms, and with the pair (phi, phi) those
-    that commute with phi.  Between quandle operations it lists the
+    table it lists the automorphisms, with the pair (phi, phi) those
+    that commute with phi, and with the left translations (l_s, l_r) beside
+    it those that also map s to r (psi . l_s = l_r . psi exactly when
+    psi(s) = r).  Between quandle operations it lists the
     isomorphisms, and with the pair (rho1, rho2) the symmetric-quandle ones.
     Without tables it lists the involutions of 0..n-1 (n = len(candidates))
     that meet the candidates and the pairs alone: with the column condition
@@ -346,8 +373,9 @@ def _iso_search(
 
     Each pair (p1, p2) asks for f(p1(x)) = p2(f(x)); without tables each
     assignment a -> b also asks for b -> a.  With tables, p1 and p2
-    must each be an automorphism of its table, as (phi, phi) is, or a good
-    involution of it, as (rho1, rho2) is; without tables they may be any
+    must each be an automorphism of its table, as (phi, phi) is, a good
+    involution of it, as (rho1, rho2) is, or a left translation x -> s * x
+    of a group table, as (l_s, l_r) is; without tables they may be any
     permutations.  The candidate images of x are `candidates[x]`; only the
     branch reads them, and an image that propagation implies is not checked
     against them (the last paragraph says why that is exact).  Unequal
@@ -389,10 +417,12 @@ def _iso_search(
     p1(y) mapped, from the same at w and at the generator g: an
     automorphism has p1(w * g) = p1(w) * p1(g), and p1(g) is mapped since
     g pushed it; a good involution has p1(w * g) = p1(w) * g (rho(x * y) =
-    rho(x) * y).  As f preserves the operation on the mapped elements and
-    p2 has the same property in its table, f(p1(w * g)) = p2(f(w)) * p2(f(g)),
-    or p2(f(w)) * f(g), which is p2(f(w * g)).  So the mapped set and each
-    assignment's outcome are those that pushing every element's pair gives.
+    rho(x) * y), and so has a left translation (s * (w * g) = (s * w) * g,
+    by associativity).  As f preserves the operation on the mapped elements
+    and p2 has the same property in its table, f(p1(w * g)) =
+    p2(f(w)) * p2(f(g)), or p2(f(w)) * f(g), which is p2(f(w * g)).  So the
+    mapped set and each assignment's outcome are those that pushing every
+    element's pair gives.
     The closure is the same in any processing order, so the search tree
     does not depend on it.
 
@@ -409,7 +439,10 @@ def _iso_search(
     every caller meets: `candidates[x]` is the set of elements that share
     x's invariants, namely the column cycle type and fixedness under each
     pair (`_candidates`; on a group table the type is the element order),
-    the partition's five values, or the oracle's column condition.  The one
+    the partition's five values, or the oracle's column condition.  The
+    theorem route's witness searches take the candidates of (phi, phi)
+    alone: a left translation by an element other than the identity fixes
+    no element, so its pair would change no candidate set.  The one
     exception is element 0, branched first, which the partition cuts to
     orbit minima; no image of it is ever implied.  Propagation keeps those
     invariants.  Between quandles, an edge's implied image t -> u has S_t

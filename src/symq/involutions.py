@@ -39,11 +39,9 @@ from .groups import (
     FiniteGroup,
     GroupAutomorphism,
     OrbitPartition,
-    _automorphism_search,
     _candidates,
     _iso_search,
     fixed_two_torsion,
-    orbits_under,
 )
 from .quandles import (
     FiniteQuandle,
@@ -410,19 +408,47 @@ def _partition_by_isomorphism(
 def _theorem_classes(
     phi: GroupAutomorphism, fixed: tuple[int, ...], budget: SearchBudget
 ) -> tuple[tuple[int, ...], ...]:
-    """Orbits of the centralizer of the twist phi on the fixed self-inverse elements."""
-    position = {r: i for i, r in enumerate(fixed)}
-    restricted = []
-    centralizer = _automorphism_search(phi.group, budget, [(phi.perm, phi.perm)])
-    for psi in centralizer:
-        images = [psi[r] for r in fixed]
-        if any(img not in position for img in images):
-            raise InternalConsistencyError(
-                "fixed self-inverse set is not stable under the centralizer"
+    """Orbits of the centralizer of the twist phi on the fixed self-inverse
+    elements, decided by one witness search per pair tested.
+
+    The identity is an orbit of its own.  Each other r, ascending, is tested
+    against the smallest member s of each orbit found so far: an automorphism
+    psi commutes with the left translations as psi . l_s = l_r . psi exactly
+    when psi(s) = r, so one search with the pairs (phi, phi) and (l_s, l_r)
+    finds such a psi that commutes with phi, or proves there is none.  r
+    joins the first orbit that yields a witness, else it opens a new one.
+    For s, r other than the identity the translations fix no element, so
+    the candidates are those of the centralizer search alone.
+    """
+    group = phi.group
+    product, types = group.product, group.column_types
+    pairs = [(phi.perm, phi.perm)]
+    candidates = _candidates(types, types, pairs)
+    members = frozenset(fixed)
+    classes: list[list[int]] = []
+    for r in fixed:
+        if r == group.identity:
+            classes.append([r])
+            continue
+        for cls in classes:
+            s = cls[0]
+            if s == group.identity:
+                continue
+            found = _iso_search(
+                product, product, find_all=False, budget=budget,
+                pairs=[*pairs, (product[s], product[r])], candidates=candidates,
             )
-        restricted.append([position[img] for img in images])
-    part = orbits_under(restricted, len(fixed))
-    return tuple(tuple(fixed[i] for i in orbit) for orbit in part.orbits)
+            if not found:
+                continue
+            if {found[0][x] for x in fixed} != members:
+                raise InternalConsistencyError(
+                    "fixed self-inverse set is not stable under the centralizer"
+                )
+            cls.append(r)
+            break
+        else:
+            classes.append([r])
+    return tuple(tuple(cls) for cls in classes)
 
 
 def _analyze(
@@ -546,8 +572,11 @@ def cross_check_sq(
 
     Agreement means the two partitions are equal: the translations by each
     centralizer orbit are exactly one brute-force class, so every good
-    involution is a translation.  When a hypothesis fails the orbit route is
-    skipped and the notes say which one.  One budget bounds both routes.
+    involution is a translation.  The orbits are decided by witness
+    searches, one for each fixed self-inverse element and smallest member
+    of an orbit found before it, without listing the centralizer.  When a
+    hypothesis fails the orbit route is skipped and the notes say which
+    one.  One budget bounds both routes.
     """
     q = galex(group, phi)
     return _analyze(q, SearchBudget(budget), oracle=True, theorem=True, classify=True)

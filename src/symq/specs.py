@@ -16,6 +16,7 @@ from .errors import NotAbelian, SpecParseError, UnsupportedOrder
 from .groups import (
     FiniteGroup,
     GroupAutomorphism,
+    _capped_product,
     alternating_group,
     cyclic_group,
     dihedral_group,
@@ -143,16 +144,6 @@ def parse_group_spec(spec: str) -> GroupSpec:
     return parsed
 
 
-def _capped_product(factors) -> int:
-    """Product of the factors, cut short once it passes MAX_BUILT_ORDER."""
-    out = 1
-    for f in factors:
-        out *= f
-        if out > MAX_BUILT_ORDER:
-            break
-    return out
-
-
 def _spec_order(spec: GroupSpec) -> int:
     """The order a spec names, or a number past MAX_BUILT_ORDER if it is larger.
 
@@ -174,9 +165,8 @@ def _realize(spec: GroupSpec) -> FiniteGroup:
     if spec.kind == "quaternion":
         return quaternion_group()
     if spec.kind == "product":
-        parts = [_realize(part) for part in spec.parts]
-        _check_cap(spec, _capped_product(part.order for part in parts))
-        return direct_product(parts)
+        # direct_product refuses parts whose orders, as read, pass the cap
+        return direct_product([_realize(part) for part in spec.parts])
     return validate_group(read_table(spec.path))
 
 

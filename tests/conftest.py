@@ -2,6 +2,8 @@ import pytest
 
 import symq
 
+from reference import psl27
+
 
 @pytest.fixture(scope="session")
 def z3():
@@ -70,3 +72,9 @@ def a5_connected_keis():
         if symq.is_kei(q) and symq.is_connected(q):
             entries.append((phi, q))
     return entries
+
+
+@pytest.fixture(scope="session")
+def psl27_automorphisms():
+    """The 336 automorphisms of `reference.psl27`'s table, in search order."""
+    return symq.enumerate_automorphisms(psl27())

@@ -113,7 +113,9 @@ def test_run_catalog_counts_budget_placeholders(monkeypatch):
     # under a one-node budget every group of order 2 to 4 runs out while
     # listing its automorphisms and gets one placeholder report whose is_kei
     # is null; the trivial group's one automorphism is listed, and its
-    # analysis runs out instead.  SYMQ_BUDGET is read when no budget is given
+    # analysis, one oracle node and no theorem search (its only fixed
+    # self-inverse element is e), finishes.  SYMQ_BUDGET is read when no
+    # budget is given
     monkeypatch.setenv("SYMQ_BUDGET", "1")
     reports, summary = symq.run_catalog(4)
     assert [(r["group_spec"], r["is_kei"]) for r in reports] == [
@@ -123,14 +125,26 @@ def test_run_catalog_counts_budget_placeholders(monkeypatch):
         ("product:cyclic:2,cyclic:2", None),
         ("cyclic:4", None),
     ]
-    assert [r["good_involutions"] for r in reports] == [None] * 5
-    assert [r["notes"][0].split(":")[0] for r in reports] == (
-        ["cross-check aborted"] + ["automorphism enumeration aborted"] * 4
+    assert [r["good_involutions"] for r in reports] == [[[0]]] + [None] * 4
+    assert reports[0]["notes"] == []
+    assert [r["notes"][0].split(":")[0] for r in reports[1:]] == (
+        ["automorphism enumeration aborted"] * 4
     )
     assert len(symq.emit_reports(reports, "json").splitlines()) == 5
     assert summary == {
-        "entries": 5, "hypothesis_met": 0, "agreement_failures": 0, "budget_notes": 5
+        "entries": 5, "hypothesis_met": 1, "agreement_failures": 0, "budget_notes": 4
     }
+    # two nodes list C2's one automorphism, and its analysis runs out instead
+    monkeypatch.setenv("SYMQ_BUDGET", "2")
+    reports, summary = symq.run_catalog(4)
+    assert [(r["group_spec"], r["is_kei"]) for r in reports[:2]] == [
+        ("cyclic:1", True), ("cyclic:2", True)
+    ]
+    assert reports[1]["good_involutions"] is None
+    assert [r["notes"][0].split(":")[0] for r in reports[1:]] == (
+        ["cross-check aborted"] + ["automorphism enumeration aborted"] * 3
+    )
+    assert summary["budget_notes"] == 4
 
 
 @pytest.mark.parametrize("max_order, budget", [(9, None), (8, 3_023), (8, 3_022)])

@@ -270,21 +270,23 @@ def test_sq_crosscheck_alternating_spec(capsys):
 
 
 def test_sq_budget_bounds_whole_crosscheck(capsys):
-    # the oracle, the partition and the theorem route's automorphism search
-    # all charge one budget: N nodes bound their sum, not each of them
+    # the oracle, the partition and the theorem route's witness searches
+    # all charge one budget: N nodes bound their sum, not each of them.  A5's
+    # conj:3 twist has four fixed self-inverse elements, so its route searches
     from symq.budget import SearchBudget
     from symq.involutions import _analyze
 
-    g = symq.alternating_group(4)
-    phi = symq.validate_automorphism(g, [0, 2, 1, 3, 5, 4, 9, 10, 11, 6, 7, 8])
+    g = symq.alternating_group(5)
+    phi = symq.parse_aut_spec("conj:3", g)
     q = symq.galex(g, phi)
     oracle_only = SearchBudget(10**9)
     _analyze(q, oracle_only, oracle=True, classify=True)
     whole = SearchBudget(10**9)
     _analyze(q, whole, oracle=True, theorem=True, classify=True)
     assert oracle_only.used < whole.used
-    argv = ["sq", "crosscheck", "--group", "alternating:4",
-            "--aut", "perm:0,2,1,3,5,4,9,10,11,6,7,8", "--budget"]
+    argv = [
+        "sq", "crosscheck", "--group", "alternating:5", "--aut", "conj:3", "--budget"
+    ]
     report = run_json(capsys, *argv, str(whole.used))
     assert report["agreement"] is True
     code, _, err = run(capsys, *argv, str(whole.used - 1))

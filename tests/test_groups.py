@@ -1,4 +1,5 @@
 import pickle
+import time
 from functools import partial
 from itertools import permutations
 
@@ -9,10 +10,10 @@ from hypothesis import strategies as st
 import symq
 from symq import errors
 from symq.budget import SearchBudget, resolve_budget
-from symq.groups import _candidates, _iso_search
+from symq.groups import _candidates, _check_build_cap, _iso_search
 from symq.perms import cycle_type
 
-from reference import compose, orbits_by_union_find, psl27, run_with_exact_budget
+from reference import compose, orbits_by_union_find, run_with_exact_budget
 
 # Latin square with identity 0 and two-sided inverses that is not associative.
 NONASSOC_LOOP = [
@@ -140,6 +141,33 @@ def test_permutation_tables_compose_point_by_point():
 def test_direct_product_needs_two_factors():
     with pytest.raises(errors.UnsupportedOrder, match="at least two factors"):
         symq.direct_product([symq.cyclic_group(2)])
+
+
+@pytest.mark.parametrize(
+    "build, name",
+    [
+        (lambda: symq.cyclic_group(1025), "cyclic group"),
+        (lambda: symq.cyclic_group(10**5000), "cyclic group"),
+        (lambda: symq.dihedral_group(513), "dihedral group"),
+        (lambda: symq.symmetric_group(7), "symmetric group"),
+        (lambda: symq.symmetric_group(10**6), "symmetric group"),
+        (lambda: symq.alternating_group(7), "alternating group"),
+        (lambda: symq.direct_product([symq.cyclic_group(33)] * 2), "direct product"),
+        (lambda: symq.direct_product([symq.cyclic_group(2)] * 11), "direct product"),
+    ],
+    ids=["c1025", "c_giant", "d513", "s7", "s_giant", "a7", "c33_squared", "c2_to_11"],
+)
+def test_constructors_refuse_an_order_above_the_cap_before_building(build, name):
+    # the order is computed capped, as for a spec, so neither k! nor the
+    # table is formed: each refusal takes milliseconds, where building
+    # 5,040 rows of S7 or 1,025 of C1025 would take seconds
+    start = time.perf_counter()
+    with pytest.raises(errors.UnsupportedOrder) as exc:
+        build()
+    assert time.perf_counter() - start < 0.1
+    assert str(exc.value) == f"{name} has order above the build cap of 1024"
+    # the cap itself is admitted (building a table of 1,024 rows takes 0.3 s)
+    _check_build_cap(name, 1024)
 
 
 def test_group_invariants_across_builtins(small_family):
@@ -546,14 +574,14 @@ def test_cached_facts_leave_equality_hash_and_pickle_alone():
             assert copy == obj and hash(copy) == hash(obj) and fact(copy) == value
 
 
-def test_psl27_automorphisms():
+def test_psl27_automorphisms(psl27_automorphisms):
     # |Aut(PSL(2,7))| = |PGL(2,7)| = 336; its involutions are the 21 inner
     # ones and the 28 of PGL(2,7) outside PSL(2,7)
-    g = psl27()
+    g = psl27_automorphisms[0].group
     auts = run_with_exact_budget(
         10_137, lambda b: symq.enumerate_automorphisms(g, budget=b)
     )
-    assert len(auts) == 336
+    assert auts == psl27_automorphisms and len(auts) == 336
     identity = tuple(range(g.order))
     involutive = [
         a for a in auts if a.perm != identity and compose(a.perm, a.perm) == identity

@@ -2,6 +2,7 @@ import gc
 import hashlib
 import sys
 from collections import Counter
+from operator import itemgetter
 
 import pytest
 from hypothesis import given, settings
@@ -20,7 +21,9 @@ from reference import (
     drop_last_of_largest,
     enumerate_good_involutions_by_filter,
     involutions,
+    orbits_by_union_find,
     partition_values,
+    run_with_exact_budget,
 )
 
 
@@ -432,7 +435,7 @@ def test_cross_check_node_total_over_connected_a4_a5_keis(a5_connected_keis):
     for q in keis:
         result = _analyze(q, budget, oracle=True, theorem=True, classify=True)
         assert result.agreement is True
-    assert (len(keis), budget.used) == (31, 4_523)
+    assert (len(keis), budget.used) == (31, 2_747)
 
 
 @pytest.mark.parametrize(
@@ -493,13 +496,14 @@ def test_agreement_fails_when_the_oracle_misses_a_translation(monkeypatch):
 
 
 def test_theorem_classes_refuse_a_fixed_set_the_centralizer_moves(monkeypatch):
-    # the fixed self-inverse elements of A5's conj:3 twist are 0, 3, 8 and 11,
-    # and the centralizer swaps 8 and 11; without 11 the set is not stable
+    # the fixed self-inverse elements of A5's conj:3 twist are 0, 3, 8 and
+    # 11, and the witness that joins 11 to 8 moves 59 off that set; with 59
+    # added the set is not stable
     from symq import involutions as module
 
     fixed_two_torsion = module.fixed_two_torsion
     monkeypatch.setattr(
-        module, "fixed_two_torsion", lambda g, phi: fixed_two_torsion(g, phi)[:-1]
+        module, "fixed_two_torsion", lambda g, phi: fixed_two_torsion(g, phi) + (59,)
     )
     g = symq.alternating_group(5)
     with pytest.raises(
@@ -507,6 +511,61 @@ def test_theorem_classes_refuse_a_fixed_set_the_centralizer_moves(monkeypatch):
         match="^fixed self-inverse set is not stable under the centralizer$",
     ):
         symq.cross_check_sq(g, symq.parse_aut_spec("conj:3", g))
+
+
+def test_theorem_classes_are_the_centralizer_orbits(small_family, psl27_automorphisms):
+    # one witness search per tested pair gives the orbits of the whole
+    # centralizer, on every twist of the order <= 8 family, A4 and A5, and on
+    # PSL(2,7)'s 49 involutive twists.  Their centralizers are read off
+    # Aut(PSL(2,7)) by the definition psi . phi = phi . psi, which
+    # `test_centralizer_matches_direct_filter` shows is what
+    # `centralizer_in_aut` lists, at a third of its time here
+    from symq.involutions import _theorem_classes
+
+    centralizers = [
+        (phi, [psi.perm for psi in symq.centralizer_in_aut(g, phi)])
+        for _, g in [*small_family, ("A4", symq.alternating_group(4)),
+                     ("A5", symq.alternating_group(5))]
+        for phi in symq.enumerate_automorphisms(g)
+    ]
+    auts = [psi.perm for psi in psl27_automorphisms]
+    identity = auts[0]
+    involutive = [
+        phi for phi in psl27_automorphisms
+        if phi.perm != identity and compose(phi.perm, phi.perm) == identity
+    ]
+    assert len(involutive) == 49
+    for phi in involutive:
+        after_phi = itemgetter(*phi.perm)
+        centralizers.append(
+            (phi, [psi for psi in auts if after_phi(psi) == itemgetter(*psi)(phi.perm)])
+        )
+    class_counts = Counter()
+    for phi, centralizer in centralizers:
+        fixed = symq.fixed_two_torsion(phi.group, phi)
+        position = {r: i for i, r in enumerate(fixed)}
+        orbits = orbits_by_union_find(
+            [[position[psi[r]] for r in fixed] for psi in centralizer], len(fixed)
+        )
+        expected = tuple(tuple(fixed[i] for i in orbit) for orbit in orbits)
+        assert _theorem_classes(phi, fixed, SearchBudget()) == expected
+        class_counts[len(expected)] += 1
+    assert len(centralizers) == 248 + 24 + 120 + 49
+    assert class_counts[3] > 0
+
+
+def test_theorem_route_nodes_on_a5_conj3():
+    # A5's conj:3 twist fixes the involutions 3, 8 and 11: two searches
+    # separate 3 from 8 and 11, and a third finds the witness joining them
+    from symq.involutions import _theorem_classes
+
+    g = symq.alternating_group(5)
+    phi = symq.parse_aut_spec("conj:3", g)
+    fixed = symq.fixed_two_torsion(g, phi)
+    classes = run_with_exact_budget(
+        46, lambda b: _theorem_classes(phi, fixed, SearchBudget(b))
+    )
+    assert classes == ((0,), (3,), (8, 11))
 
 
 def test_theorem_route_alone_checks_each_translation(monkeypatch):
