@@ -159,8 +159,8 @@ def test_direct_product_needs_two_factors():
 )
 def test_constructors_refuse_an_order_above_the_cap_before_building(build, name):
     # the order is computed capped, as for a spec, so neither k! nor the
-    # table is formed: each refusal takes milliseconds, where building
-    # 5,040 rows of S7 or 1,025 of C1025 would take seconds
+    # table is formed: each refusal takes milliseconds, where S7's table
+    # alone would hold 5,040 x 5,040 cells
     start = time.perf_counter()
     with pytest.raises(errors.UnsupportedOrder) as exc:
         build()
