@@ -17,6 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import permutations
+from operator import eq
 from typing import Sequence
 
 from . import perms
@@ -336,16 +337,18 @@ def _candidates(
     precondition of `_iso_search`, which checks them only where it branches.
 
     When the two multisets of types differ no isomorphism exists, and no x
-    has a candidate.
+    has a candidate; a self-search passes one list as both, which needs no
+    comparison.
     """
-    if sorted(types1) != sorted(types2):
+    if types1 is not types2 and sorted(types1) != sorted(types2):
         return [()] * len(types1)
+    points = range(len(types1))
     having: dict[tuple, list[int]] = {}
-    for v, profile in enumerate(types2):
-        having.setdefault((profile, *[p2[v] == v for _, p2 in pairs]), []).append(v)
+    for v, key in enumerate(zip(types2, *[map(eq, p2, points) for _, p2 in pairs])):
+        having.setdefault(key, []).append(v)
     return [
-        having.get((profile, *[p1[x] == x for p1, _ in pairs]), ())
-        for x, profile in enumerate(types1)
+        having.get(key, ())
+        for key in zip(types1, *[map(eq, p1, points) for p1, _ in pairs])
     ]
 
 
@@ -397,9 +400,9 @@ def _iso_search(
     implies f(a * g) = b * f(g) for every generator g.  An implied pair
     whose left side already has that image is dropped in place; the others
     are mapped in turn, and one sure to fail is pushed last, so that the
-    next pop fails the assignment.  Without tables, the swap b -> a of
-    a -> b is pushed only when b has no image (not for a -> a, nor for an
-    image from the swap).  The mapped elements are then those the generators
+    next pop fails the assignment.  Without tables, an assignment a -> b
+    with b != a makes its swap b -> a at once, and pushes both their pair
+    images.  The mapped elements are then those the generators
     generate, as a quandle or a group: each is a left-normed product
     g0 * g1 * ... * gk of generators (a quandle's x *^-1 g is
     x * g * ... * g, as g's column has finite order; a group's products
@@ -426,14 +429,15 @@ def _iso_search(
     The closure is the same in any processing order, so the search tree
     does not depend on it.
 
-    Without tables, an assignment a -> b where b already has an image c
-    other than a is not refused on the spot, yet its node fails all the
-    same.  The first assignment x -> y of each cycle of img pushes the swap
-    y -> x, so a node can only succeed with img[img[x]] = x for every mapped
-    x; here either c -> b holds, and `used[b]` refused a -> b, or the swap
-    c -> b is still pending and fails when it pops, as c has another image
-    or b is used.  Nodes are counted per candidate and a failed node is
-    rolled back, so the tree and the node count are the same.
+    Without tables, img is an involution on the mapped set after every
+    step: each assignment a -> b with b != a assigns the swap b -> a beside
+    it.  So an element is used exactly when it is mapped.  An assignment
+    a -> b that passes the `used[b]` test finds b unmapped, and a was
+    unmapped, so unused: the swap needs no test and cannot fail.  An
+    assignment a -> b whose b is mapped to another element, which no
+    involution extends, is refused by that same test.  Each node's closure
+    is the one that pushing the swap and popping it later gives, so it
+    succeeds or fails alike, and the tree and the node count are the same.
 
     Candidates bind only at the branch, which is exact under a precondition
     every caller meets: `candidates[x]` is the set of elements that share
@@ -501,11 +505,17 @@ def _iso_search(
                         img[a] = b
                         used[b] = True
                         done.append(a)
-                        if involutive and img[b] < 0:
-                            stack.append((b, a))
                         if generator:
                             for p1, p2 in pairs:
                                 stack.append((p1[a], p2[b]))
+                        if involutive and a != b:
+                            # the swap b -> a: b was unused, so unmapped, and
+                            # a was unmapped, so unused
+                            img[b] = a
+                            used[a] = True
+                            done.append(b)
+                            for p1, p2 in pairs:
+                                stack.append((p1[b], p2[a]))
                         if op1 is not None:
                             # a generator checks c -> c * a and a -> a * c for
                             # every mapped c, any other a its edges a -> a * g

@@ -293,8 +293,9 @@ def _partition_by_isomorphism(
     S_f(x)) and inner orbits to inner orbits, so it carries each value at x
     to the same value at f(x).
 
-    The values are computed at the smallest member of each inner orbit and
-    copied to the rest of it, since an inner permutation s, which is an
+    The values are computed once per inner orbit, at its smallest member,
+    and kept in a list aligned with the orbits; they hold at every member,
+    since an inner permutation s, which is an
     automorphism of q, leaves each of them unchanged when it replaces x by
     s(x): S_s(x) = s . S_x . s^-1; rho commutes with s (equivariance), so rho
     fixes s(x) exactly when it fixes x, and rho(s(x)) = s(rho(x)) lies in
@@ -302,16 +303,21 @@ def _partition_by_isomorphism(
     s . (S_x . rho) . s^-1 has the cycle type of S_x . rho; and
     s(x) ^ s(y) = s(x ^ y), so y -> s(y) carries the y with x ^ y = rho(x)
     onto those with s(x) ^ y = rho(s(x)).  On a connected quandle that is
-    one cycle walk per rho instead of n.
+    one cycle walk per rho instead of n, and one value instead of n for
+    every step below.  The elements with each value are gathered by
+    appending whole orbits, in order of their smallest members, and sorted
+    where two orbits share the value, so each list ascends.
 
     Three cuts follow, each exact:
 
-    - Only representatives with the same key, the sorted multiset of the
-      values, are searched; the key also fixes rho's cycle type, an
-      involution's being its number of fixed points.
-    - Each search branches x only over the elements with x's values.  They
-      meet the precondition of `_iso_search`, so the search maps each x
-      only to such elements.
+    - Only representatives with the same key are searched.  The key is the
+      set of pairs (value, summed size of the orbits with that value):
+      the multiset of the values over all elements, which any isomorphism
+      keeps.  It also fixes rho's cycle type, an involution's being its
+      number of fixed points.
+    - Each search branches x only over the elements with x's values, which
+      it reads through x's orbit.  They meet the precondition of
+      `_iso_search`, so the search maps each x only to such elements.
     - Each search maps 0 only to the smallest member of an inner orbit.
       Every inner permutation s is an automorphism of q that commutes with
       every good involution (equivariance), so if f carries rho1 to rho2,
@@ -335,40 +341,54 @@ def _partition_by_isomorphism(
     parent = list(range(m))
     # the roots the main loop has not reached yet, pruned as they are joined
     open_roots = list(range(m))
-    # each element's inner orbit, named by its smallest member
-    orbit_of = [0] * q.order
-    for orbit in orbits.orbits:
+    # each element's inner orbit, as an index into orbits.orbits
+    orbit_index = [0] * q.order
+    for k, orbit in enumerate(orbits.orbits):
         for x in orbit:
-            orbit_of[x] = orbit[0]
+            orbit_index[x] = k
     minima = [orbit[0] for orbit in orbits.orbits]
     op = q.op
     columns = q.columns
-    column_types = {x: perms.cycle_type(columns[x]) for x in minima}
+    column_types = [perms.cycle_type(columns[x]) for x in minima]
     # (index, values) of each class representative by key; the index is the
-    # smallest of its class and so its union-find root
-    reps: dict[tuple, list[tuple[int, list[tuple]]]] = {}
+    # smallest of its class and so its union-find root, and the values are
+    # one tuple per inner orbit
+    reps: dict[frozenset, list[tuple[int, list[tuple]]]] = {}
     for i in range(m):
         if parent[i] != i:
             continue
         rho = rhos[i]
-        at_minimum = {
-            x: (
-                column_types[x],
+        values = [
+            (
+                column_types[k],
                 rho[x] == x,
-                orbit_of[rho[x]] == x,
+                orbit_index[rho[x]] == k,
                 perms.cycle_type([columns[x][r] for r in rho]),
                 op[x].count(rho[x]),
             )
-            for x in minima
-        }
-        values = [at_minimum[x] for x in orbit_of]
+            for k, x in enumerate(minima)
+        ]
+        # the elements with each value, ascending: whole orbits appended in
+        # order of their minima, sorted where two orbits share a value
         having: dict[tuple, list[int]] = {}
-        for v, value in enumerate(values):
-            having.setdefault(value, []).append(v)
-        bucket = reps.setdefault(tuple(sorted(values)), [])
+        merged = []
+        for value, orbit in zip(values, orbits.orbits):
+            members = having.get(value)
+            if members is None:
+                having[value] = list(orbit)
+            else:
+                members += orbit
+                merged.append(members)
+        for members in merged:
+            members.sort()
+        key = frozenset((value, len(members)) for value, members in having.items())
+        bucket = reps.setdefault(key, [])
         for r, r_values in bucket:
-            candidates = [having[value] for value in r_values]
-            candidates[0] = [v for v in candidates[0] if orbit_of[v] == v]
+            by_orbit = [having[value] for value in r_values]
+            candidates = [by_orbit[k] for k in orbit_index]
+            candidates[0] = [
+                x for x, value in zip(minima, values) if value == r_values[0]
+            ]
             found = _iso_search(
                 op, op, find_all=False, budget=budget,
                 pairs=[(rhos[r], rho)], candidates=candidates,

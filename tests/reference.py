@@ -19,6 +19,8 @@ table validators' axiom loops read cell by cell, for tests to compare the
 package's row and column scans with.
 `compose` multiplies permutations entry by entry, independently of the
 package's row gathers, for tests to build and check permutation tables with.
+`candidates_by_filter` computes a search's candidate images afresh from
+two tables' columns, for tests to compare `_candidates` with.
 `drop_last_of_largest` takes one member out of a partition, for tests to
 feed the agreement rule a closed form that misses a good involution.
 `entry_report` analyses one catalog entry afresh, sharing no table with any
@@ -54,6 +56,26 @@ _FILTER_MAX_ORDER = 12
 def compose(p: Sequence[int], q: Sequence[int]) -> tuple[int, ...]:
     """Composition p after q: x -> p[q[x]]."""
     return tuple(p[x] for x in q)
+
+
+def candidates_by_filter(
+    op1, op2, pairs: Sequence[tuple[Sequence[int], Sequence[int]]] = ()
+) -> list[list[int]]:
+    """Each x's candidate images in a search from op1 to op2, from the cycle
+    types of their columns computed afresh: none for any x when the two
+    multisets of types differ, else the v whose column has x's type, then
+    filtered pair by pair on p2 fixing v exactly when p1 fixes x."""
+    types1 = [cycle_type(column) for column in zip(*op1)]
+    types2 = [cycle_type(column) for column in zip(*op2)]
+    if sorted(types1) != sorted(types2):
+        return [[] for _ in types1]
+    candidates = []
+    for x, profile in enumerate(types1):
+        options = [v for v, other in enumerate(types2) if other == profile]
+        for p1, p2 in pairs:
+            options = [v for v in options if (p2[v] == v) == (p1[x] == x)]
+        candidates.append(options)
+    return candidates
 
 
 def drop_last_of_largest(

@@ -11,9 +11,14 @@ import symq
 from symq import errors
 from symq.budget import SearchBudget, resolve_budget
 from symq.groups import _candidates, _check_build_cap, _iso_search
-from symq.perms import cycle_type
 
-from reference import compose, orbits_by_union_find, run_with_exact_budget
+from reference import (
+    candidates_by_filter,
+    compose,
+    involutions,
+    orbits_by_union_find,
+    run_with_exact_budget,
+)
 
 # Latin square with identity 0 and two-sided inverses that is not associative.
 NONASSOC_LOOP = [
@@ -377,6 +382,42 @@ def test_search_with_an_element_without_candidates_returns_at_once():
     assert budget.used == 0
 
 
+@st.composite
+def pairs_on_points(draw):
+    """(n, pairs): 1 <= n <= 7 and up to two pairs of permutations of 0..n-1.
+
+    A random pair is seldom met by any involution, so the first pair's p2
+    may be f . p1 . f for a drawn involution f, which f meets.
+    """
+    n = draw(st.integers(1, 7))
+    perm = st.permutations(list(range(n)))
+    pairs = draw(st.lists(st.tuples(perm, perm), max_size=2))
+    if pairs and draw(st.booleans()):
+        f = draw(st.sampled_from(list(involutions(n))))
+        p1 = pairs[0][0]
+        pairs[0] = (p1, [f[p1[f[x]]] for x in range(n)])
+    return n, pairs
+
+
+@given(pairs_on_points())
+@settings(max_examples=300, deadline=None)
+def test_table_free_search_lists_the_involutions_that_meet_the_pairs(case):
+    # without tables, with every element a candidate for every x, the search
+    # lists the involutions f with f . p1 = p2 . f for each pair, in
+    # lexicographic order; it assigns each swap b -> a beside a -> b, and a
+    # swap it dropped or made twice would change the list
+    n, pairs = case
+    want = [
+        f for f in involutions(n)
+        if all(f[p1[x]] == p2[f[x]] for p1, p2 in pairs for x in range(n))
+    ]
+    search = partial(
+        _iso_search, budget=SearchBudget(), candidates=[range(n)] * n, pairs=pairs
+    )
+    assert search(find_all=True) == want
+    assert search(find_all=False) == want[:1]
+
+
 @pytest.mark.parametrize("value", [2.7, True, False, -0.5, float("inf"), float("nan"), [3]])
 def test_budget_refuses_a_bool_or_a_fractional_number(value):
     with pytest.raises(ValueError, match=r"^node budget is not an integer: "):
@@ -522,20 +563,8 @@ def test_automorphism_node_count(build, search, maps, nodes):
 # -- facts kept on a table -------------------------------------------------------
 
 
-def _candidates_by_filter(group, pairs):
-    """Each x's candidate images computed afresh: the elements with the cycle
-    type of x's column, then filtered pair by pair on fixing x."""
-    types = [cycle_type(column) for column in zip(*group.product)]
-    having = {}
-    for v, profile in enumerate(types):
-        having.setdefault(profile, []).append(v)
-    candidates = []
-    for x in range(group.order):
-        options = having[types[x]]
-        for p1, p2 in pairs:
-            options = [v for v in options if (p2[v] == v) == (p1[x] == x)]
-        candidates.append(options)
-    return candidates
+def _as_lists(candidates):
+    return [list(options) for options in candidates]
 
 
 def test_cached_candidates_equal_fresh_ones():
@@ -543,15 +572,47 @@ def test_cached_candidates_equal_fresh_ones():
     # catalog group and of A5
     groups = [g for _, g in symq.catalog_family(12)] + [symq.alternating_group(5)]
     for group in groups:
-        types = group.column_types
-        assert _candidates(types, types) == _candidates_by_filter(group, [])
+        table, types = group.product, group.column_types
+        assert _candidates(types, types) == candidates_by_filter(table, table)
         for phi in symq.enumerate_automorphisms(group):
             pairs = [(phi.perm, phi.perm)]
-            want = _candidates_by_filter(group, pairs)
+            want = candidates_by_filter(table, table, pairs)
             assert _candidates(types, types, pairs) == want
+            # an equal copy of the types takes the multiset comparison
+            assert _candidates(types, list(types), pairs) == want
     # C4 and C2 x C2 differ in their element orders: no element has a candidate
     c4, klein = symq.cyclic_group(4), symq.direct_product([symq.cyclic_group(2)] * 2)
     assert _candidates(c4.column_types, klein.column_types) == [()] * 4
+    assert candidates_by_filter(c4.product, klein.product) == [[]] * 4
+
+
+def test_candidates_between_keis_equal_fresh_ones(a5_connected_keis):
+    # a cross-table search between two distinct A5 keis whose column types
+    # have one multiset, with and without a pair of good involutions, and a
+    # pair of two different good involutions on one kei
+    keis = [q for _, q in a5_connected_keis]
+    q1 = keis[0]
+    q2 = next(
+        q for q in keis[1:]
+        if q.op != q1.op and sorted(q.column_types) == sorted(q1.column_types)
+    )
+    rhos1 = [g.rho for g in symq.enumerate_good_involutions(q1)]
+    rhos2 = [g.rho for g in symq.enumerate_good_involutions(q2)]
+    types1, types2 = q1.column_types, q2.column_types
+    got = _candidates(types1, types2)
+    assert _as_lists(got) == candidates_by_filter(q1.op, q2.op)
+    for pairs in ([(rho1, rho2)] for rho1 in rhos1 for rho2 in rhos2):
+        want = candidates_by_filter(q1.op, q2.op, pairs)
+        assert _as_lists(_candidates(types1, types2, pairs)) == want
+    emptied = 0
+    for pairs in ([(rho1, rho2)] for rho1 in rhos1 for rho2 in rhos1 if rho1 != rho2):
+        want = candidates_by_filter(q1.op, q1.op, pairs)
+        assert _as_lists(_candidates(types1, types1, pairs)) == want
+        assert _as_lists(_candidates(types1, list(types1), pairs)) == want
+        emptied += [] in want
+    # some pairs of involutions with different fixed points leave an
+    # element without a candidate
+    assert emptied > 0
 
 
 def test_cached_facts_leave_equality_hash_and_pickle_alone():

@@ -394,7 +394,7 @@ def test_partition_matches_automorphism_orbits_a5(a5_connected_keis, index, clas
 
 def test_partition_values_constant_on_inner_orbits(a5_connected_keis):
     # the partition computes its five values at each inner orbit's smallest
-    # member and copies them to the rest of the orbit, which is exact only
+    # member and keeps them once for the whole orbit, which is exact only
     # if the values, computed at every element by the full formula, agree
     # along each orbit
     quandles = {}
