@@ -48,13 +48,14 @@ def gather(indices: Sequence[int]):
 
 def first_mismatch(
     t1: Sequence[Sequence[int]], t2: Sequence[Sequence[int]],
-    p: Sequence[int], q: Sequence[int],
+    p: Sequence[int], q: Sequence[int], rows: Iterable[int] | None = None,
 ) -> tuple[int, int] | None:
     """The first (x, y), row by row, with p[t1[x][y]] != t2[p[x]][q[y]], or None:
-    the identity p(x * y) = p(x) *' q(y), checked one whole row per two gathers."""
+    the identity p(x * y) = p(x) *' q(y), checked one whole row per two gathers,
+    on the rows x of `rows` in their order, or on every row of t1."""
     by_q = gather(q)
-    for x, row in enumerate(t1):
-        lhs, rhs = gather(row)(p), by_q(t2[p[x]])
+    for x in range(len(t1)) if rows is None else rows:
+        lhs, rhs = gather(t1[x])(p), by_q(t2[p[x]])
         if lhs != rhs:
             return x, next(y for y, (a, b) in enumerate(zip(lhs, rhs)) if a != b)
     return None

@@ -33,6 +33,7 @@ from .groups import (
     _candidates,
     _check_same_group,
     _check_table_shape,
+    _generating_set,
     _iso_search,
     orbits_under,
     validate_automorphism,
@@ -75,8 +76,8 @@ class FiniteQuandle:
 
     @cached_property
     def generators(self) -> tuple[int, ...]:
-        """The greedy ascending generating set of `_generating_set`."""
-        return _generating_set(self)
+        """The greedy ascending generating set of `groups._generating_set`."""
+        return _generating_set(self.op)
 
 
 @dataclass(frozen=True)
@@ -93,12 +94,23 @@ def validate_quandle(op_table: Sequence[Sequence[int]]) -> FiniteQuandle:
 
     Check order is fixed: shape, idempotence, column bijectivity (whose
     inverted columns, transposed, are inv_op), then right
-    self-distributivity.  Q3 says that each column S_z: x -> x ^ z
-    preserves the operation, so it is one `perms.first_mismatch` scan per
-    column; each scan gives its column's least failing (x, y), and the
-    least (x, y, z) over the columns is the witness, the least failing
+    self-distributivity.  Q1 and Q2 report their smallest index.  Q3 says
+    that each column S_z: x -> x ^ z preserves the operation, so it is one
+    `perms.first_mismatch` scan per column, which gives that column's least
+    failing (x, y).  Once the columns are bijections, the z whose column
+    preserves the operation form a subquandle: if S_a and S_b do, Q3 at b
+    gives S_(a ^ b) = S_b S_a S_b^-1 (Joyce), which does too.  Every
+    element is a generator or w ^ g for a walked w and a generator g
+    (`groups._generating_set`), so the generators' columns decide Q3, at
+    O(n^2 k) for k generators.  The trivial table x ^ y = x has k = n, so
+    it gains nothing.
+
+    The generators' columns are scanned first, in ascending order, and
+    column 0 is always the first generator.  Only when one of them fails
+    are the other columns scanned, and the least (x, y, z) over all of
+    them, compared as whole triples, is the witness: the least failing
     triple.  Once a column fails at row x, later columns are scanned only
-    up to row x.  Q1 and Q2 report their smallest index.
+    up to row x.
     """
     rows = _check_table_shape(op_table)
     n = len(rows)
@@ -111,18 +123,21 @@ def validate_quandle(op_table: Sequence[Sequence[int]]) -> FiniteQuandle:
         if sorted(col) != list(range(n)):
             raise Q2Violation(y)
 
-    least = None  # the least failing (x, y, z) so far
-    for z, col in enumerate(cols):
-        scanned = rows if least is None else rows[: least[0] + 1]
-        witness = perms.first_mismatch(scanned, rows, col, col)
-        if witness is not None and (least is None or witness < least[:2]):
-            least = (*witness, z)
-    if least is not None:
-        raise Q3Violation(*least)
-
-    return FiniteQuandle(
+    q = FiniteQuandle(
         order=n, op=rows, inv_op=tuple(zip(*map(perms.invert, cols)))
     )
+    gens = q.generators
+    is_gen = set(gens)
+    least = None  # the least failing (x, y, z) so far
+    for batch in (gens, (z for z in range(n) if z not in is_gen)):
+        for z in batch:
+            scanned = rows if least is None else rows[: least[0] + 1]
+            witness = perms.first_mismatch(scanned, rows, cols[z], cols[z])
+            if witness is not None and (least is None or (*witness, z) < least):
+                least = (*witness, z)
+        if least is None:
+            return q
+    raise Q3Violation(*least)
 
 
 def galex(group: FiniteGroup, phi: GroupAutomorphism) -> FiniteQuandle:
@@ -134,7 +149,11 @@ def galex(group: FiniteGroup, phi: GroupAutomorphism) -> FiniteQuandle:
     the product gathered at c_y = phi(y^-1) y, and row x of inv_op is row
     phi^-1(x) gathered at d_y = phi^-1(y^-1) y.  phi, a plain container, is
     validated first, and the two tables are checked to invert each other
-    column by column.
+    column by column.  `validate_automorphism` checks phi(g x) =
+    phi(g) phi(x) on the rows of the group's generators alone, which
+    decides it for every row: the g that pass are closed under the product
+    (phi((ab)x) = phi(a) phi(bx) = phi(a) phi(b) phi(x) = phi(ab) phi(x)),
+    and every element is a product of generators.
     """
     _check_same_group(group, phi)
     validate_automorphism(group, phi.perm)
@@ -160,7 +179,22 @@ def galex(group: FiniteGroup, phi: GroupAutomorphism) -> FiniteQuandle:
 
 
 def kei_witness(q: FiniteQuandle) -> tuple[int, int] | None:
-    """Smallest (x, y) where the operation and its inverse differ, if any."""
+    """Smallest (x, y) where the operation and its inverse differ, if any.
+
+    q is a kei when every column S_y is an involution.  K = {y : S_y^2 = id}
+    is closed under ^, since S_(x ^ y) = S_y S_x S_y^-1 (Joyce) squares to
+    S_y S_x^2 S_y^-1.  Every element is a generator or w ^ g for a walked w
+    and a generator g, so q is a kei exactly when every generator's column
+    is an involution, which takes O(nk) for k generators.  Only when one is
+    not does the row scan run for the least (x, y), which may lie in a
+    column that is no generator's: the z with S_z^2(x) = x for one x need
+    not be closed under ^, as in the conjugation quandle of S4.  q is a
+    quandle, as `validate_quandle` and `galex` build them.
+    """
+    columns = q.columns
+    identity = perms.identity_perm(q.order)
+    if all(perms.gather(columns[y])(columns[y]) == identity for y in q.generators):
+        return None
     for x, (row, inv_row) in enumerate(zip(q.op, q.inv_op)):
         if row != inv_row:
             return (x, next(y for y, (a, b) in enumerate(zip(row, inv_row)) if a != b))
@@ -181,45 +215,6 @@ def inner_orbits(q: FiniteQuandle) -> OrbitPartition:
     """
     columns = q.columns
     return orbits_under([columns[y] for y in q.generators], q.order)
-
-
-def _generating_set(q: FiniteQuandle) -> tuple[int, ...]:
-    """Greedy ascending generators of q: y joins when the subquandle that the
-    earlier ones generate misses it.
-
-    The subquandle a set A generates is A's orbit under A's columns
-    S_a: c -> c ^ a.  That orbit is closed under ^, since z = s(a) for s in
-    the group they generate gives S_z = s . S_a . s^-1, and under ^-1, since
-    a column's inverse is a power of it.  One walk list holds the orbit and
-    each generator keeps a cursor into it, so every generator maps every
-    walked element once: O(nk) in all for k generators.
-    """
-    op = q.op
-    seen = [False] * q.order
-    walk: list[int] = []
-    gens: list[int] = []
-    cursors: list[int] = []
-    for y in range(q.order):
-        if seen[y]:
-            continue
-        seen[y] = True
-        walk.append(y)
-        gens.append(y)
-        cursors.append(0)
-        grew = True
-        while grew:  # until every cursor stands at the walk's end
-            grew = False
-            for i, g in enumerate(gens):
-                c = cursors[i]
-                while c < len(walk):  # the walk grows as it goes
-                    z = op[walk[c]][g]
-                    c += 1
-                    if not seen[z]:
-                        seen[z] = True
-                        walk.append(z)
-                        grew = True
-                cursors[i] = c
-    return tuple(gens)
 
 
 def is_connected(q: FiniteQuandle) -> bool:

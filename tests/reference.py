@@ -16,7 +16,9 @@ every pair, for tests to check the package's generating-set walk with.
 `write_table` writes the table files that the CLI and spec tests read.
 `q3_witness_by_triples`, `identity_by_scan` and `inverses_by_scan` are the
 table validators' axiom loops read cell by cell, for tests to compare the
-package's row and column scans with.
+package's row and column scans with, and `multiplicative_witness_by_cells`
+is the automorphism check's loop, `associativity_witness_by_triples` the
+group check's and `kei_witness_by_cells` the kei test's.
 `compose` multiplies permutations entry by entry, independently of the
 package's row gathers, for tests to build and check permutation tables with.
 `candidates_by_filter` computes a search's candidate images afresh from
@@ -241,6 +243,41 @@ def q3_witness_by_triples(op) -> tuple[int, int, int] | None:
             for z in range(n):
                 if op[xy][z] != op[op[x][z]][op[y][z]]:
                     return x, y, z
+    return None
+
+
+def multiplicative_witness_by_cells(
+    product, perm, rows: Sequence[int] | None = None
+) -> tuple[int, int] | None:
+    """The first (x, y), x in `rows` (every row when None) and y ascending,
+    with perm(x * y) != perm(x) * perm(y), or None."""
+    n = len(product)
+    for x in range(n) if rows is None else rows:
+        for y in range(n):
+            if perm[product[x][y]] != product[perm[x]][perm[y]]:
+                return x, y
+    return None
+
+
+def associativity_witness_by_triples(product) -> tuple[int, int, int] | None:
+    """The first (i, j, k) in lexicographic order with
+    i * (j * k) != (i * j) * k, or None."""
+    n = len(product)
+    for i in range(n):
+        for j in range(n):
+            for k in range(n):
+                if product[i][product[j][k]] != product[product[i][j]][k]:
+                    return i, j, k
+    return None
+
+
+def kei_witness_by_cells(op, inv_op) -> tuple[int, int] | None:
+    """The first (x, y), row by row, with x ^ y != x ^-1 y, or None."""
+    n = len(op)
+    for x in range(n):
+        for y in range(n):
+            if op[x][y] != inv_op[x][y]:
+                return x, y
     return None
 
 

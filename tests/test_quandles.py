@@ -10,7 +10,7 @@ from symq import errors
 from symq.budget import SearchBudget
 from symq.perms import invert
 from symq.groups import FiniteGroup, GroupAutomorphism, _candidates, _iso_search
-from symq.quandles import _generating_set
+from symq.groups import _generating_set
 
 from reference import (
     compose,
@@ -208,7 +208,7 @@ def _checked_generating_set(q):
     """The greedy generating set, checked against closures by brute force:
     it generates q, and y is a generator exactly when the generators below
     y miss it."""
-    gens = _generating_set(q)
+    gens = _generating_set(q.op)
     assert list(gens) == sorted(gens)
     # closure of each prefix; the generators below y are a prefix
     prefixes = [generated_subquandle(q, gens[:i]) for i in range(len(gens) + 1)]
