@@ -24,6 +24,7 @@ from reference import (
     multiplicative_witness_by_cells,
     q3_witness_by_triples,
 )
+from test_table_checks import _relabel, _switch_intercalate
 
 SEED = 20311
 SPECS = (
@@ -39,31 +40,6 @@ def _outcome(call, *args):
         return call(*args)
     except errors.SymqError as exc:
         return f"{type(exc).__name__}: {exc}"
-
-
-def _relabel(rng, rows):
-    """The same table under a random relabelling pi: pi(a) * pi(b) = pi(a * b)."""
-    n = len(rows)
-    pi = list(range(n))
-    rng.shuffle(pi)
-    out = [[0] * n for _ in range(n)]
-    for a, row in enumerate(rows):
-        for b, c in enumerate(row):
-            out[pi[a]][pi[b]] = pi[c]
-    return out
-
-
-def _switch_intercalate(rng, rows):
-    """Switch a random 2x2 subsquare on two symbols, if one is found."""
-    n = len(rows)
-    for _ in range(4 * n):
-        i, k = rng.sample(range(n), 2)
-        j = rng.randrange(n)
-        l = rows[i].index(rows[k][j])
-        if l != j and rows[k][l] == rows[i][j]:
-            rows[i][j], rows[i][l] = rows[i][l], rows[i][j]
-            rows[k][j], rows[k][l] = rows[k][l], rows[k][j]
-            return
 
 
 def _corrupt(rng, group, perm):
