@@ -193,6 +193,19 @@ def test_catalog_stream_digest_order_9(fmt, size, digest):
     assert hashlib.sha256(stream).hexdigest() == digest
 
 
+@pytest.mark.parametrize("fmt, size, digest", [
+    ("json", 1_641_703, "36c8d7b81443274f2105f3c3b583fd6fdf2900f9d7fbb8128849a5e82ba4d927"),
+    ("text", 1_639_124, "5f0f3477a038d8dbbbaacd4e2df3e687b1a76ed141d437ac17d3df5c1012863f"),
+])
+def test_catalog_stream_digest_order_11(fmt, size, digest):
+    # pinned from json.dumps and str() of each element; order 10 is the
+    # first whose rows hold a two-digit element
+    reports, _ = symq.run_catalog(11)
+    stream = symq.emit_reports(reports, fmt).encode("ascii")
+    assert len(stream) == size
+    assert hashlib.sha256(stream).hexdigest() == digest
+
+
 def test_catalog_stream_digest_order_12_under_a_small_budget():
     # a 5,000-node budget leaves 8 entries with a budget note, the phi = id
     # entries of orders 9 to 12, whose trivial tables have the most involutions
