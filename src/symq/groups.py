@@ -154,9 +154,13 @@ def _check_table_shape(table: Sequence[Sequence[int]]) -> tuple[tuple[int, ...],
         row = tuple(raw)
         if len(row) != n:
             raise MalformedTable(f"row {i} has {len(row)} entries, expected {n}")
-        for j, x in enumerate(row):
-            if not isinstance(x, int) or isinstance(x, bool) or not 0 <= x < n:
-                raise MalformedTable(f"entry ({i}, {j}) = {x!r} out of range 0..{n - 1}")
+        # a row of plain ints in range passes at C speed; any other row is
+        # checked entry by entry, which accepts an int subclass other than
+        # bool and names the first bad entry
+        if not (set(map(type, row)) == {int} and min(row) >= 0 and max(row) < n):
+            for j, x in enumerate(row):
+                if not isinstance(x, int) or isinstance(x, bool) or not 0 <= x < n:
+                    raise MalformedTable(f"entry ({i}, {j}) = {x!r} out of range 0..{n - 1}")
         rows.append(row)
     return tuple(rows)
 

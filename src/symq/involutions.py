@@ -279,7 +279,7 @@ def _blocks(parent: list[int]) -> tuple[tuple[int, ...], ...]:
 
 def _partition_by_isomorphism(
     q: FiniteQuandle,
-    rhos: list[tuple[int, ...]],
+    rhos: Sequence[tuple[int, ...]],
     budget: SearchBudget,
     orbits: OrbitPartition,
 ) -> tuple[tuple[int, ...], ...]:
@@ -495,11 +495,12 @@ def _analyze(
     the SearchBudgetExceeded of the search that runs out reaches the caller.
 
     `reuse` is a dict that a caller passing the same routes to many quandles
-    keeps across the calls.  It maps an op table to the involution list, the
+    keeps across the calls.  It maps an op table to the involution tuple, the
     brute-force classes and the nodes those two steps spent; on a hit they
     are taken from it and the same nodes are charged to `budget`, so the
-    budget outcome is what recomputing would give.  Only searches that
-    finished within the budget are stored.
+    budget outcome is what recomputing would give, and every repeat of a
+    table returns that one tuple object.  Only searches that finished within
+    the budget are stored.
     """
     origin = q.origin
     witness = kei_witness(q)
@@ -521,7 +522,7 @@ def _analyze(
         hit = None if reuse is None else reuse.get(q.op)
         if hit is None:
             start = budget.used
-            rhos = _good_involutions(q, budget)
+            rhos = tuple(_good_involutions(q, budget))
             if classify:
                 brute = _partition_by_isomorphism(q, rhos, budget, orbits)
             if reuse is not None:
@@ -539,7 +540,7 @@ def _analyze(
                     raise InternalConsistencyError(
                         f"translation by {r} is not a good involution: {violation}"
                     )
-            rhos = sorted(product[r] for r in fixed)
+            rhos = tuple(sorted(product[r] for r in fixed))
         if classify:
             classes = _theorem_classes(origin, fixed, budget)
             if oracle:
@@ -553,7 +554,7 @@ def _analyze(
     return SqClassification(
         order=q.order,
         origin=origin,
-        good_involutions=None if rhos is None else tuple(rhos),
+        good_involutions=rhos,
         classes_bruteforce=brute,
         classes_theorem=classes,
         agreement=agreement,

@@ -11,6 +11,18 @@ import json
 
 from . import __about__
 from .involutions import SqClassification
+from .perms import gather
+
+
+class _Rows(list):
+    """A report's good involutions: rows that each permute range(order).
+
+    `emit_reports` renders such a list from a table of the digit strings
+    of 0..order-1, which covers every entry only because the rows are the
+    analysis's own permutations and reports are read-only.
+    """
+
+    __slots__ = ("order",)
 
 
 def _analysis_report(
@@ -21,18 +33,25 @@ def _analysis_report(
 ) -> dict:
     """The fixed-key report of one analysis; every quandle report is made here.
 
-    Reports made with one `lists` dict (involution tuple -> report list)
-    share one list, built once, between equal involution lists.
+    The good involutions become a `_Rows` list, built once per involution
+    tuple: reports made with one `lists` dict (id of an involution tuple ->
+    the tuple and its rows, so the id stays the tuple's) share one list
+    between them.  `_analyze` gives every repeat of a table one tuple, so
+    the tuples are never hashed.  `emit_reports` renders a `_Rows` list
+    from a digit table, which relies on the rows being read-only; any other
+    value, a list a caller built among them, renders through `json.dumps`.
     """
     known = result.orbit_count is not None
     witness = result.kei_witness
     rhos = result.good_involutions
     if rhos is not None:
         lists = {} if lists is None else lists
-        rows = lists.get(rhos)
-        if rows is None:
-            rows = lists[rhos] = [list(p) for p in rhos]
-        rhos = rows
+        hit = lists.get(id(rhos))
+        if hit is None:
+            rows = _Rows(map(list, rhos))
+            rows.order = result.order
+            hit = lists[id(rhos)] = rhos, rows
+        rhos = hit[1]
     fixed = result.fixed_two_torsion
     return {
         "tool_version": __about__.__version__,
@@ -75,11 +94,21 @@ def to_text(report: dict) -> str:
 
 
 # per format: report renderer, value renderer, the rendering of a null
-# good_involutions, and the text between two reports of a stream
+# good_involutions, the text between two reports of a stream, and the text
+# that opens a `_Rows` list, parts two rows, parts two entries of a row and
+# closes the list
 _FORMATS = {
-    "json": (to_json, _json_value, '"good_involutions":null', ""),
-    "text": (to_text, _render_value, "good_involutions: null", "\n"),
+    "json": (to_json, _json_value, '"good_involutions":null', "", ("[[", "],[", ",", "]]")),
+    "text": (to_text, _render_value, "good_involutions: null", "\n", ("\n  ", "\n  ", " ", "")),
 }
+
+
+def _render_rows(rows: _Rows, syntax: tuple[str, str, str, str]) -> str:
+    """The rendering of a non-empty `_Rows` list: each row is its entries'
+    digit strings joined, gathered at C speed, so no int is converted."""
+    head, between, sep, tail = syntax
+    digits = [str(i) for i in range(rows.order)]
+    return head + between.join([sep.join(gather(row)(digits)) for row in rows]) + tail
 
 
 def emit_report(report: dict, fmt: str = "json") -> str:
@@ -97,10 +126,15 @@ def emit_reports(reports: list[dict], fmt: str = "json") -> str:
     That slot is the field's own, since every key that sorts before it in a
     report (agreement, automorphism, elapsed_ms, fixed_two_torsion) holds no
     string.  `run_catalog` gives equal lists one object, so each distinct
-    list of a sweep is rendered once.
+    list of a sweep is rendered once.  A list that `_analysis_report` built
+    (a `_Rows`) is rendered in one pass that joins the digit strings of
+    0..order-1, the bytes `json.dumps` and `str` give for its entries, since
+    its rows are read-only permutations of range(order).  Every other value,
+    a plain list a caller built among them, renders as `to_json` or
+    `to_text` renders it.
     """
     try:
-        render, render_value, slot, sep = _FORMATS[fmt]  # an empty stream checks fmt too
+        render, render_value, slot, sep, syntax = _FORMATS[fmt]  # an empty stream checks fmt too
     except KeyError:
         raise ValueError(f"unknown format {fmt!r}") from None
     cut = len(slot) - len("null")
@@ -115,7 +149,11 @@ def emit_reports(reports: list[dict], fmt: str = "json") -> str:
             continue
         value = rendered.get(id(rhos))
         if value is None:
-            value = rendered[id(rhos)] = render_value(rhos)
+            if type(rhos) is _Rows and rhos:
+                value = _render_rows(rhos, syntax)
+            else:
+                value = render_value(rhos)
+            rendered[id(rhos)] = value
         text = render({**report, "good_involutions": None})
         at = text.index(slot)
         pieces += (text[: at + cut], value, text[at + len(slot):])

@@ -4,7 +4,9 @@ import time
 import pytest
 
 import symq
+from symq.budget import SearchBudget
 from symq.cli import main
+from symq.involutions import _analyze
 from symq.report import _analysis_report, emit_report, emit_reports, to_json, to_text
 
 from reference import drop_last_of_largest, write_table
@@ -561,6 +563,33 @@ def test_emit_reports_equals_one_report_at_a_time(fmt, render, sep):
         [],
     ]
     for reports in streams:
+        assert emit_reports(reports, fmt) == sep.join(render(r) for r in reports)
+
+
+@pytest.mark.parametrize("fmt, render, sep", [("json", to_json, ""), ("text", to_text, "\n")])
+def test_emit_reports_renders_every_list_as_one_report_at_a_time(fmt, render, sep):
+    # the involution lists of analysis reports, whose rows permute
+    # range(order), are rendered from a digit table (orders 10 to 12 have
+    # two-digit entries); any other list, one a caller built, goes through
+    # json.dumps, so a bool stays `true` and a string keeps its quotes
+    analysed = []
+    for n in (1, 2, 10, 11, 12):
+        g = symq.cyclic_group(n)
+        q = symq.galex(g, symq.identity_automorphism(g))
+        result = _analyze(q, SearchBudget(None), oracle=True)
+        analysed.append(_analysis_report(result, f"cyclic:{n}", None))
+    assert [len(r["good_involutions"]) for r in analysed] == [1, 2, 9496, 35696, 140152]
+    built = [
+        [[True, False], [False, True]],
+        [[-1, 0], [0, -2]],
+        [[0.5, 1.0], [1.0, 0.0]],
+        [["0", "1"], ["a", "b"]],
+        [[0, 1, 2], [1, 0]],
+        [[0], [0]],
+        [[], []],
+    ]
+    plain = [{**analysed[1], "good_involutions": rows} for rows in built]
+    for reports in [analysed, plain, [plain[0], analysed[1], plain[0]]]:
         assert emit_reports(reports, fmt) == sep.join(render(r) for r in reports)
 
 

@@ -76,6 +76,32 @@ def test_malformed_tables():
         symq.validate_group([])
 
 
+@pytest.mark.parametrize("table, message", [
+    ([[0, 1], [1, 2]], "entry (1, 1) = 2 out of range 0..1"),
+    ([[0, 1], [-1, 0]], "entry (1, 0) = -1 out of range 0..1"),
+    ([[0, True], [1, 0]], "entry (0, 1) = True out of range 0..1"),
+    ([[0, 1.0], [1, 0]], "entry (0, 1) = 1.0 out of range 0..1"),
+    ([[0, "1"], [1, 0]], "entry (0, 1) = '1' out of range 0..1"),
+    ([[0, 1, 2], [1, 7, -1], [2, 0, 1]], "entry (1, 1) = 7 out of range 0..2"),
+    ([[0, 1, 3], [1, 0], [2, 0, 1]], "entry (0, 2) = 3 out of range 0..2"),
+    ([[0, 1, 2], [1, 0], [2, 0, 1]], "row 1 has 2 entries, expected 3"),
+])
+def test_malformed_table_names_its_first_bad_entry(table, message):
+    # rows are checked in order, and within a row the least bad column is
+    # named, whether the row is refused by length or by an entry
+    with pytest.raises(errors.MalformedTable) as exc:
+        symq.validate_group(table)
+    assert str(exc.value) == message
+
+
+def test_table_entries_may_be_an_int_subclass():
+    class Label(int):
+        pass
+
+    group = symq.validate_group([[Label(0), Label(1)], [Label(1), Label(0)]])
+    assert group.product == ((0, 1), (1, 0))
+
+
 def test_no_identity():
     # Latin square with a left identity (row 0) but no two-sided identity.
     table = [[(2 * i + j) % 5 for j in range(5)] for i in range(5)]
