@@ -542,7 +542,11 @@ def test_catalog_stream_round_trips_byte_identical(capsys):
 def test_emit_reports_equals_one_report_at_a_time(fmt, render, sep):
     # emit_reports renders each involution list object once and splices it
     # into the first null slot of good_involutions in each report's
-    # rendering; only these keys sort before it, and none holds a string
+    # rendering; only these keys sort before it, and none holds a string.
+    # The lists of analysis reports, whose rows permute range(order), are
+    # rendered from a digit table (orders 10 to 12 have two-digit entries);
+    # any other list, one a caller built, goes through json.dumps, so a bool
+    # stays `true` and a string keeps its quotes
     assert sorted(REPORT_KEYS)[:5] == [
         "agreement", "automorphism", "elapsed_ms", "fixed_two_torsion",
         "good_involutions",
@@ -562,16 +566,6 @@ def test_emit_reports_equals_one_report_at_a_time(fmt, render, sep):
           "good_involutions": shared}],
         [],
     ]
-    for reports in streams:
-        assert emit_reports(reports, fmt) == sep.join(render(r) for r in reports)
-
-
-@pytest.mark.parametrize("fmt, render, sep", [("json", to_json, ""), ("text", to_text, "\n")])
-def test_emit_reports_renders_every_list_as_one_report_at_a_time(fmt, render, sep):
-    # the involution lists of analysis reports, whose rows permute
-    # range(order), are rendered from a digit table (orders 10 to 12 have
-    # two-digit entries); any other list, one a caller built, goes through
-    # json.dumps, so a bool stays `true` and a string keeps its quotes
     analysed = []
     for n in (1, 2, 10, 11, 12):
         g = symq.cyclic_group(n)
@@ -589,7 +583,8 @@ def test_emit_reports_renders_every_list_as_one_report_at_a_time(fmt, render, se
         [[], []],
     ]
     plain = [{**analysed[1], "good_involutions": rows} for rows in built]
-    for reports in [analysed, plain, [plain[0], analysed[1], plain[0]]]:
+    streams += [analysed, [plain[0], analysed[1], plain[0]], plain]
+    for reports in streams:
         assert emit_reports(reports, fmt) == sep.join(render(r) for r in reports)
 
 
