@@ -6,6 +6,8 @@ import os
 
 from .errors import SearchBudgetExceeded
 
+__all__ = ["DEFAULT_SEARCH_BUDGET", "SearchBudget", "resolve_budget"]
+
 DEFAULT_SEARCH_BUDGET = 10_000_000
 ENV_VAR = "SYMQ_BUDGET"
 

@@ -19,10 +19,12 @@ from .groups import FiniteGroup, GroupAutomorphism, enumerate_automorphisms
 from .involutions import SqClassification, _analyze
 from .quandles import galex
 from .report import _analysis_report
-from .specs import MAX_BUILT_ORDER, build_group
+from .specs import build_group
+from .tableio import MAX_BUILT_ORDER
 
 __all__ = [
     "CatalogEntry",
+    "catalog_entries",
     "catalog_family",
     "abelian_invariant_chains",
     "run_catalog",

@@ -22,7 +22,7 @@ from .errors import (
 from .groups import is_abelian, validate_group
 from .involutions import _analyze
 from .quandles import galex, validate_quandle
-from .report import _analysis_report, emit_report, emit_reports
+from .report import _FORMATS, _analysis_report, emit_report, emit_reports
 from .specs import build_group, parse_aut_spec
 from .tableio import format_table, read_table
 from .torus import torus_report_data
@@ -172,7 +172,7 @@ def _add_common(parser, *, budget=False, fmt=True, out=True):
     if budget:
         parser.add_argument("--budget", type=int, default=None, metavar="NODES")
     if fmt:
-        parser.add_argument("--format", choices=("json", "text"), default="json")
+        parser.add_argument("--format", choices=tuple(_FORMATS), default="json")
     if out:
         parser.add_argument("--out", default=None, metavar="PATH")
 

@@ -2,6 +2,34 @@
 
 from __future__ import annotations
 
+__all__ = [
+    "SymqError",
+    "MalformedTable",
+    "MalformedPermutation",
+    "NotAssociative",
+    "NoIdentity",
+    "NoInverse",
+    "NotBijective",
+    "NotMultiplicative",
+    "NotAbelian",
+    "Q1Violation",
+    "Q2Violation",
+    "Q3Violation",
+    "NotOpPreserving",
+    "NotGalexOrigin",
+    "NotConnected",
+    "NotCentralizing",
+    "NotFixedTwoTorsion",
+    "HypothesisNotMet",
+    "BadElement",
+    "SearchBudgetExceeded",
+    "SpecParseError",
+    "UnsupportedOrder",
+    "DimensionTooLarge",
+    "InternalConsistencyError",
+    "ModelInconsistency",
+]
+
 
 class SymqError(Exception):
     """Base class for every error raised by this package."""

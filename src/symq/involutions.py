@@ -305,8 +305,7 @@ def _partition_by_isomorphism(
     onto those with s(x) ^ y = rho(s(x)).  On a connected quandle that is
     one cycle walk per rho instead of n, and one value instead of n for
     every step below.  The elements with each value are gathered by
-    appending whole orbits, in order of their smallest members, and sorted
-    where two orbits share the value, so each list ascends.
+    appending whole orbits, then sorted, so each list ascends.
 
     Three cuts follow, each exact:
 
@@ -368,18 +367,12 @@ def _partition_by_isomorphism(
             )
             for k, x in enumerate(minima)
         ]
-        # the elements with each value, ascending: whole orbits appended in
-        # order of their minima, sorted where two orbits share a value
+        # the elements with each value, ascending: a list of one orbit
+        # already ascends, so the sort reorders only where orbits share a value
         having: dict[tuple, list[int]] = {}
-        merged = []
         for value, orbit in zip(values, orbits.orbits):
-            members = having.get(value)
-            if members is None:
-                having[value] = list(orbit)
-            else:
-                members += orbit
-                merged.append(members)
-        for members in merged:
+            having.setdefault(value, []).extend(orbit)
+        for members in having.values():
             members.sort()
         key = frozenset((value, len(members)) for value, members in having.items())
         bucket = reps.setdefault(key, [])

@@ -13,6 +13,8 @@ from . import __about__
 from .involutions import SqClassification
 from .perms import gather
 
+__all__ = ["emit_report", "emit_reports"]
+
 
 class _Rows(list):
     """A report's good involutions: rows that each permute range(order).

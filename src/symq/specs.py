@@ -37,7 +37,6 @@ __all__ = [
     "parse_group_spec",
     "parse_aut_spec",
     "build_group",
-    "MAX_BUILT_ORDER",
 ]
 
 # numbered kind -> (the order that number K names, see _spec_order; constructor)

@@ -588,11 +588,16 @@ def test_emit_reports_equals_one_report_at_a_time(fmt, render, sep):
         assert emit_reports(reports, fmt) == sep.join(render(r) for r in reports)
 
 
-def test_unknown_format_rejected():
+def test_unknown_format_rejected(capsys):
     with pytest.raises(ValueError):
         emit_report({"a": 1}, "yaml")
-    with pytest.raises(ValueError):  # also when there is nothing to render
-        emit_reports([], "yaml")
+    # also when there is nothing to render
+    with pytest.raises(ValueError, match=r"^unknown format 'xml'$"):
+        emit_reports([], "xml")
+    # the CLI's choices are the report module's formats
+    assert run(capsys, "catalog", "--max-order", "1", "--format", "xml") == (
+        1, "", "error: argument --format: invalid choice: 'xml' (choose from 'json', 'text')\n",
+    )
 
 
 def test_usage_error_is_exit_one(capsys):
