@@ -15,12 +15,13 @@ from dataclasses import dataclass, replace
 
 from .budget import SearchBudget, resolve_budget
 from .errors import SearchBudgetExceeded, UnsupportedOrder
-from .groups import FiniteGroup, GroupAutomorphism, enumerate_automorphisms
+from .groups import (
+    FiniteGroup, GroupAutomorphism, _check_build_cap, enumerate_automorphisms
+)
 from .involutions import SqClassification, _analyze
 from .quandles import galex
 from .report import _analysis_report
 from .specs import build_group
-from .tableio import MAX_BUILT_ORDER
 
 __all__ = [
     "CatalogEntry",
@@ -68,10 +69,9 @@ def catalog_family(
     max_order: int, include_extras: bool = False
 ) -> list[tuple[str, FiniteGroup]]:
     """Deterministic (label, group) list for the sweep, ascending by order."""
-    if not 1 <= max_order <= MAX_BUILT_ORDER:
-        cap = f"above the build cap of {MAX_BUILT_ORDER}"
-        bound = "below 1" if max_order < 1 else cap
-        raise UnsupportedOrder(f"catalog max order {max_order} is {bound}")
+    if max_order < 1:
+        raise UnsupportedOrder(f"catalog max order {max_order} is below 1")
+    _check_build_cap(f"catalog max order {max_order} is", max_order)
     labels: list[str] = []
     for order in range(1, max_order + 1):
         labels.extend(_abelian_spec(chain) for chain in abelian_invariant_chains(order))

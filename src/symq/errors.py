@@ -148,8 +148,7 @@ class SearchBudgetExceeded(SymqError):
     def __init__(self, limit: int):
         self.limit = limit
         super().__init__(
-            f"search exceeded the node budget of {limit}; "
-            "raise it via --budget or SYMQ_BUDGET"
+            f"search exceeded the node budget of {limit}; raise it via --budget"
         )
 
 

@@ -34,7 +34,6 @@ from .errors import (
     SearchBudgetExceeded,
     UnsupportedOrder,
 )
-from .tableio import MAX_BUILT_ORDER
 
 __all__ = [
     "FiniteGroup",
@@ -234,6 +233,11 @@ def _group_from_rows(rows: list[list[int]]) -> FiniteGroup:
     )
 
 
+# Guard against materializing a table too large to be useful; everything
+# downstream is desk-scale anyway.
+MAX_BUILT_ORDER = 1024
+
+
 def _capped_product(factors) -> int:
     """Product of the factors, cut short once it passes MAX_BUILT_ORDER."""
     out = 1
@@ -244,19 +248,17 @@ def _capped_product(factors) -> int:
     return out
 
 
-def _check_build_cap(name: str, order: int) -> None:
-    """Refuse before building a group whose order, capped as
-    `_capped_product` gives it, passes MAX_BUILT_ORDER."""
+def _check_build_cap(subject: str, order: int) -> None:
+    """Refuse, before building, what `subject` names if `order` passes
+    MAX_BUILT_ORDER; every build-cap refusal in the package is this one."""
     if order > MAX_BUILT_ORDER:
-        raise UnsupportedOrder(
-            f"{name} has order above the build cap of {MAX_BUILT_ORDER}"
-        )
+        raise UnsupportedOrder(f"{subject} above the build cap of {MAX_BUILT_ORDER}")
 
 
 def cyclic_group(n: int) -> FiniteGroup:
     if n < 1:
         raise UnsupportedOrder(f"cyclic group needs order >= 1, got {n}")
-    _check_build_cap("cyclic group", n)
+    _check_build_cap("cyclic group has order", n)
     rows = [[(i + j) % n for j in range(n)] for i in range(n)]
     return _group_from_rows(rows)
 
@@ -270,7 +272,7 @@ def dihedral_group(m: int) -> FiniteGroup:
     if m < 1:
         raise UnsupportedOrder(f"dihedral group needs m >= 1, got {m}")
     n = 2 * m
-    _check_build_cap("dihedral group", n)
+    _check_build_cap("dihedral group has order", n)
 
     def mul(a: int, b: int) -> int:
         f1, i1 = divmod(a, m)
@@ -295,7 +297,7 @@ def symmetric_group(k: int) -> FiniteGroup:
     """All permutations of k points in lexicographic order; order k!."""
     if k < 1:
         raise UnsupportedOrder(f"symmetric group needs k >= 1, got {k}")
-    _check_build_cap("symmetric group", _capped_product(range(2, k + 1)))
+    _check_build_cap("symmetric group has order", _capped_product(range(2, k + 1)))
     return _perm_table(sorted(permutations(range(k))))
 
 
@@ -303,7 +305,7 @@ def alternating_group(k: int) -> FiniteGroup:
     """Even permutations of k points in lexicographic order."""
     if k < 3:
         raise UnsupportedOrder(f"alternating group needs k >= 3, got {k}")
-    _check_build_cap("alternating group", _capped_product(range(3, k + 1)))
+    _check_build_cap("alternating group has order", _capped_product(range(3, k + 1)))
     return _perm_table(sorted(p for p in permutations(range(k)) if _is_even(p)))
 
 
@@ -331,7 +333,7 @@ def direct_product(factors: Sequence[FiniteGroup]) -> FiniteGroup:
     """Direct product with mixed-radix index packing, leftmost factor first."""
     if len(factors) < 2:
         raise UnsupportedOrder("direct product needs at least two factors")
-    _check_build_cap("direct product", _capped_product(f.order for f in factors))
+    _check_build_cap("direct product has order", _capped_product(f.order for f in factors))
     group = factors[0]
     for rhs in factors[1:]:
         group = _product_of_two(group, rhs)

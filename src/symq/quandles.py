@@ -195,10 +195,9 @@ def kei_witness(q: FiniteQuandle) -> tuple[int, int] | None:
     identity = perms.identity_perm(q.order)
     if all(perms.gather(columns[y])(columns[y]) == identity for y in q.generators):
         return None
-    for x, (row, inv_row) in enumerate(zip(q.op, q.inv_op)):
-        if row != inv_row:
-            return (x, next(y for y, (a, b) in enumerate(zip(row, inv_row)) if a != b))
-    return None
+    # a generator's column is no involution, so some row differs
+    x = next(x for x, (row, inv_row) in enumerate(zip(q.op, q.inv_op)) if row != inv_row)
+    return (x, next(y for y, (a, b) in enumerate(zip(q.op[x], q.inv_op[x])) if a != b))
 
 
 def is_kei(q: FiniteQuandle) -> bool:

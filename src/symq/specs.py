@@ -12,11 +12,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .errors import NotAbelian, SpecParseError, UnsupportedOrder
+from .errors import BadElement, NotAbelian, SpecParseError
 from .groups import (
     FiniteGroup,
     GroupAutomorphism,
     _capped_product,
+    _check_build_cap,
     alternating_group,
     cyclic_group,
     dihedral_group,
@@ -29,8 +30,7 @@ from .groups import (
     validate_automorphism,
     validate_group,
 )
-from .errors import BadElement
-from .tableio import MAX_BUILT_ORDER, read_table
+from .tableio import read_table
 
 __all__ = [
     "GroupSpec",
@@ -68,12 +68,12 @@ class _Cursor:
     def fail(self, message: str) -> SpecParseError:
         return SpecParseError(message, self.pos)
 
-    def take_keyword(self) -> str:
+    def take_keyword(self, what: str) -> str:
         start = self.pos
         while self.pos < len(self.text) and self.text[self.pos].isalpha():
             self.pos += 1
         if self.pos == start:
-            raise self.fail("expected a group kind")
+            raise self.fail(f"expected {what}")
         return self.text[start : self.pos]
 
     def expect(self, char: str) -> None:
@@ -111,7 +111,7 @@ class _Cursor:
 
 def _parse_spec(cur: _Cursor) -> GroupSpec:
     start = cur.pos
-    kind = cur.take_keyword()
+    kind = cur.take_keyword("a group kind")
     if kind not in _KINDS:
         cur.pos = start
         raise cur.fail(f"unknown group kind {kind!r}")
@@ -169,20 +169,12 @@ def _realize(spec: GroupSpec) -> FiniteGroup:
     return validate_group(read_table(spec.path))
 
 
-def _check_cap(spec: GroupSpec, order: int) -> None:
-    if order > MAX_BUILT_ORDER:
-        raise UnsupportedOrder(
-            f"spec {spec.raw!r} names a group of order above "
-            f"the build cap of {MAX_BUILT_ORDER}"
-        )
-
-
 def build_group(spec: str | GroupSpec) -> FiniteGroup:
     """Build the group a spec string names; file-loaded tables keep their
     identity wherever it sits, products pack their factors' identities, and
     every other built-in constructor puts it at index 0."""
     parsed = parse_group_spec(spec) if isinstance(spec, str) else spec
-    _check_cap(parsed, _spec_order(parsed))
+    _check_build_cap(f"spec {parsed.raw!r} names a group of order", _spec_order(parsed))
     return _realize(parsed)
 
 
@@ -193,7 +185,7 @@ def parse_aut_spec(spec: str, group: FiniteGroup) -> GroupAutomorphism:
     any error about the group.
     """
     cur = _Cursor(spec)
-    kind = cur.take_keyword()
+    kind = cur.take_keyword("an automorphism kind")
     values = []
     if kind in ("perm", "conj"):
         cur.expect(":")

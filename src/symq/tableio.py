@@ -9,11 +9,8 @@ from __future__ import annotations
 
 from pathlib import Path
 
-from .errors import MalformedTable, UnsupportedOrder
-
-# Guard against materializing a table too large to be useful; everything
-# downstream is desk-scale anyway.
-MAX_BUILT_ORDER = 1024
+from .errors import MalformedTable
+from .groups import _check_build_cap
 
 
 def _tokens(text: str) -> list[str]:
@@ -25,10 +22,14 @@ def _tokens(text: str) -> list[str]:
 
 
 def _ints(tokens: list[str]) -> list[int]:
+    """Token values; as in specs, ASCII digits only: no sign, '_' or other script."""
+    for token in tokens:
+        if not (token.isascii() and token.isdigit()):
+            raise MalformedTable(f"non-integer token {token!r}")
     try:
         return [int(t) for t in tokens]
-    except ValueError as exc:
-        raise MalformedTable(f"non-integer token: {exc}") from None
+    except ValueError:  # past the interpreter's digit limit
+        raise MalformedTable("integer token has too many digits") from None
 
 
 def parse_table_text(text: str) -> list[list[int]]:
@@ -38,17 +39,12 @@ def parse_table_text(text: str) -> list[list[int]]:
     if not tokens:
         raise MalformedTable("file contains no data")
     (n,) = _ints(tokens[:1])
-    if n > MAX_BUILT_ORDER:
-        raise UnsupportedOrder(
-            f"table declares order {n}, above the build cap of {MAX_BUILT_ORDER}"
-        )
+    _check_build_cap(f"table declares order {n},", n)
     body = _ints(tokens[1:])
     if n < 1:
         raise MalformedTable(f"declared order {n} is not positive")
     if len(body) != n * n:
-        raise MalformedTable(
-            f"expected {n * n} entries for order {n}, found {len(body)}"
-        )
+        raise MalformedTable(f"expected {n * n} entries for order {n}, found {len(body)}")
     return [body[i * n : (i + 1) * n] for i in range(n)]
 
 

@@ -3,6 +3,7 @@ import hashlib
 import pytest
 
 import symq
+from symq.budget import DEFAULT_SEARCH_BUDGET, SearchBudget
 
 from reference import entry_report
 
@@ -79,7 +80,7 @@ def test_entry_budget_outcome_at_the_trivial_order_8_pin():
         assert short.classes_bruteforce is short.classes_theorem is None
         assert short.notes == (
             "cross-check aborted: search exceeded the node budget of 3022; "
-            "raise it via --budget or SYMQ_BUDGET",
+            "raise it via --budget",
         )
         # the facts that need no search are those of the full analysis
         assert (short.kei_witness, short.orbit_count, short.fixed_two_torsion) == (
@@ -109,15 +110,13 @@ def test_run_catalog_budget_notes_recorded():
                       "product:cyclic:2,cyclic:2"}
 
 
-def test_run_catalog_counts_budget_placeholders(monkeypatch):
+def test_run_catalog_counts_budget_placeholders():
     # under a one-node budget every group of order 2 to 4 runs out while
     # listing its automorphisms and gets one placeholder report whose is_kei
     # is null; the trivial group's one automorphism is listed, and its
     # analysis, one oracle node and no theorem search (its only fixed
-    # self-inverse element is e), finishes.  SYMQ_BUDGET is read when no
-    # budget is given
-    monkeypatch.setenv("SYMQ_BUDGET", "1")
-    reports, summary = symq.run_catalog(4)
+    # self-inverse element is e), finishes
+    reports, summary = symq.run_catalog(4, budget=1)
     assert [(r["group_spec"], r["is_kei"]) for r in reports] == [
         ("cyclic:1", True),
         ("cyclic:2", None),
@@ -135,8 +134,7 @@ def test_run_catalog_counts_budget_placeholders(monkeypatch):
         "entries": 5, "hypothesis_met": 1, "agreement_failures": 0, "budget_notes": 4
     }
     # two nodes list C2's one automorphism, and its analysis runs out instead
-    monkeypatch.setenv("SYMQ_BUDGET", "2")
-    reports, summary = symq.run_catalog(4)
+    reports, summary = symq.run_catalog(4, budget=2)
     assert [(r["group_spec"], r["is_kei"]) for r in reports[:2]] == [
         ("cyclic:1", True), ("cyclic:2", True)
     ]
@@ -145,6 +143,18 @@ def test_run_catalog_counts_budget_placeholders(monkeypatch):
         ["cross-check aborted"] + ["automorphism enumeration aborted"] * 3
     )
     assert summary["budget_notes"] == 4
+
+
+def test_budget_environment_variable_is_ignored(monkeypatch):
+    # a budget comes from `budget=` or --budget alone: an exported
+    # SYMQ_BUDGET=1 leaves the default, and the sweep takes no budget note
+    monkeypatch.setenv("SYMQ_BUDGET", "1")
+    assert SearchBudget().limit == DEFAULT_SEARCH_BUDGET
+    reports, summary = symq.run_catalog(4)
+    assert summary == {
+        "entries": 12, "hypothesis_met": 2, "agreement_failures": 0, "budget_notes": 0
+    }
+    assert all(r["good_involutions"] is not None for r in reports)
 
 
 @pytest.mark.parametrize("max_order, budget", [(9, None), (8, 3_023), (8, 3_022)])
@@ -218,5 +228,5 @@ def test_catalog_stream_digest_order_12_under_a_small_budget():
     }
     stream = symq.emit_reports(reports, "json").encode("ascii")
     assert hashlib.sha256(stream).hexdigest() == (
-        "6321c029b44c9ccf9eb88f636c4da5716e6564efc453c9e72e3514f1b91f6e50"
+        "47c0f05339a1b6196cabaae3c64133e1fb3cebde3e16d18772f8f559f684cb20"
     )

@@ -308,52 +308,51 @@ def test_sq_usage_errors(capsys):
     assert code == 1
 
 
-def test_sq_budget_flag_beats_env(capsys, monkeypatch):
-    monkeypatch.setenv("SYMQ_BUDGET", "1")
-    code, _, _ = run(
-        capsys, "sq", "enumerate", "--group", "cyclic:4", "--aut", "inv",
-        "--budget", "100000",
-    )
-    assert code == 0
-
-
-def test_sq_env_budget_must_be_an_integer(capsys, monkeypatch):
-    monkeypatch.setenv("SYMQ_BUDGET", "abc")
-    code, out, err = run(
-        capsys, "sq", "enumerate", "--group", "cyclic:4", "--aut", "inv"
-    )
-    assert code == 1 and out == ""
-    assert err == "error: SYMQ_BUDGET is not an integer: 'abc'\n"
-
-
-@pytest.mark.parametrize("argv, env, err", [
-    (("catalog", "--max-order", "3", "--budget", "-1"), None,
+@pytest.mark.parametrize("argv, err", [
+    (("catalog", "--max-order", "3", "--budget", "-1"),
      "error: node budget is negative: -1\n"),
     (("sq", "enumerate", "--group", "cyclic:3", "--aut", "inv", "--budget", "-1"),
-     None, "error: node budget is negative: -1\n"),
-    (("catalog", "--max-order", "3"), "-1", "error: SYMQ_BUDGET is negative: '-1'\n"),
-    (("sq", "enumerate", "--group", "cyclic:3", "--aut", "inv"), "-1",
-     "error: SYMQ_BUDGET is negative: '-1'\n"),
-], ids=["catalog_flag", "sq_flag", "catalog_env", "sq_env"])
-def test_negative_budget_is_refused(capsys, monkeypatch, argv, env, err):
+     "error: node budget is negative: -1\n"),
+], ids=["catalog_flag", "sq_flag"])
+def test_negative_budget_is_refused(capsys, argv, err):
     # a negative budget is an input error, not a budget hit or a budget note
-    if env is None:
-        monkeypatch.delenv("SYMQ_BUDGET", raising=False)
-    else:
-        monkeypatch.setenv("SYMQ_BUDGET", env)
     assert run(capsys, *argv) == (1, "", err)
 
 
-def test_sq_env_budget_applies(capsys, monkeypatch):
-    monkeypatch.setenv("SYMQ_BUDGET", "1")
-    code, _, err = run(
-        capsys, "sq", "enumerate", "--group", "cyclic:4", "--aut", "inv"
-    )
-    assert code == 1
-    assert "budget" in err
+@pytest.mark.parametrize("env", ["1", "abc", "-1"])
+@pytest.mark.parametrize("argv", [
+    ("sq", "enumerate", "--group", "cyclic:4", "--aut", "inv"),
+    ("catalog", "--max-order", "3"),
+], ids=["sq", "catalog"])
+def test_budget_environment_variable_is_ignored(capsys, monkeypatch, argv, env):
+    # a budget comes from --budget alone: an exported SYMQ_BUDGET, a number
+    # or not, changes no exit code and no byte of either stream
+    monkeypatch.delenv("SYMQ_BUDGET", raising=False)
+    want = run(capsys, *argv)
+    monkeypatch.setenv("SYMQ_BUDGET", env)
+    assert want[0] == 0 and run(capsys, *argv) == want
 
 
 # -- catalog ---------------------------------------------------------------------------
+
+
+def test_catalog_counts_agreement_failures_and_exits_three(capsys, monkeypatch):
+    # the theorem route loses a class member on every hypothesis-met entry:
+    # each is counted as a failure, and `catalog` exits 3
+    from symq import involutions
+
+    theorem_classes = involutions._theorem_classes
+    monkeypatch.setattr(
+        involutions, "_theorem_classes",
+        lambda *args: drop_last_of_largest(theorem_classes(*args)),
+    )
+    code, out, err = run(capsys, "catalog", "--max-order", "5")
+    assert code == 3
+    agreements = [json.loads(line)["agreement"] for line in out.splitlines()]
+    assert agreements.count(False) == 3 and agreements.count(True) == 0
+    assert err == (
+        "catalog: 16 entries, 3 hypothesis-met, 3 agreement failures, 0 budget notes\n"
+    )
 
 
 def test_catalog_small_run(tmp_path, capsys):

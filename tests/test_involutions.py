@@ -24,6 +24,7 @@ from reference import (
     orbits_by_union_find,
     partition_values,
     run_with_exact_budget,
+    write_table,
 )
 
 
@@ -208,6 +209,26 @@ def test_closed_form_odd_order():
     g = symq.cyclic_group(7)
     found = symq.good_involutions_closed_form(g, symq.inversion_automorphism(g))
     assert len(found) == 1
+
+
+def test_closed_form_ascends_on_a_group_file_with_the_identity_elsewhere(tmp_path):
+    # A4 relabelled so that its identity sits at index 7: the fixed
+    # self-inverse elements are 2 and 7, and row 2 sorts after row 7, so
+    # the translations ascend, as the oracle's list does, only once sorted
+    sigma = [7, 11, 0, 8, 5, 6, 3, 10, 4, 1, 9, 2]  # old -> new
+    a4 = symq.alternating_group(4)
+    moved = [[0] * 12 for _ in range(12)]
+    for i in range(12):
+        for j in range(12):
+            moved[sigma[i]][sigma[j]] = sigma[a4.product[i][j]]
+    path = tmp_path / "a4_moved.txt"
+    write_table(path, moved)
+    g = symq.build_group(f"file:{path}")
+    phi = symq.validate_automorphism(g, (3, 6, 2, 0, 8, 11, 1, 7, 4, 10, 9, 5))
+    assert symq.fixed_two_torsion(g, phi) == (2, 7) and g.product[2] > g.product[7]
+    found = rhos_of(symq.good_involutions_closed_form(g, phi))
+    assert found == [g.product[7], g.product[2]]
+    assert found == rhos_of(symq.enumerate_good_involutions(symq.galex(g, phi)))
 
 
 # -- symmetric quandle isomorphism --------------------------------------------------------

@@ -34,7 +34,9 @@ def test_parse_negative_order_is_a_parse_error():
 @pytest.mark.parametrize(
     "spec, message",
     [("cyclic5", "expected ':' (at offset 6)"),
-     ("file:", "expected a file path (at offset 5)")],
+     ("file:", "expected a file path (at offset 5)"),
+     ("123", "expected a group kind (at offset 0)"),
+     ("product:cyclic:2,", "expected a group kind (at offset 17)")],
 )
 def test_parse_error_messages(spec, message):
     with pytest.raises(errors.SpecParseError) as exc:
@@ -210,7 +212,8 @@ def test_aut_perm_doubling(z5):
 
 
 def test_aut_inv_rejects_nonabelian(d3):
-    with pytest.raises(errors.NotAbelian):
+    # the spec names itself, where `inversion_automorphism` would not
+    with pytest.raises(errors.NotAbelian, match=r"^spec 'inv' requires an abelian group$"):
         symq.parse_aut_spec("inv", d3)
 
 
@@ -230,6 +233,13 @@ def test_aut_conj(d3):
 def test_aut_conj_bad_element(d3):
     with pytest.raises(errors.BadElement):
         symq.parse_aut_spec("conj:9", d3)
+
+
+@pytest.mark.parametrize("spec", ["123", "", ":1"])
+def test_aut_spec_without_a_kind_names_an_automorphism_kind(z4, spec):
+    with pytest.raises(errors.SpecParseError) as exc:
+        symq.parse_aut_spec(spec, z4)
+    assert str(exc.value) == "expected an automorphism kind (at offset 0)"
 
 
 def test_aut_spec_parse_errors(z4):
@@ -279,6 +289,33 @@ def test_table_errors():
         parse_table_text("x 0")
     with pytest.raises(errors.MalformedTable):
         parse_table_text("-1")
+
+
+@pytest.mark.parametrize("text, token", [
+    ("2\n0 1\n1 0_0\n", "0_0"),
+    ("2\n0 1\n+1 0\n", "+1"),
+    ("2\n0 1\n1 -0\n", "-0"),
+    ("2\n0 \u0661\n1 0\n", "\u0661"),
+    ("+2\n0 1\n1 0\n", "+2"),
+    ("-0\n", "-0"),
+    ("0_2\n0 1\n1 0\n", "0_2"),
+], ids=["entry_underscore", "entry_plus", "entry_minus_zero", "entry_arabic_indic",
+        "order_plus", "order_minus_zero", "order_underscore"])
+def test_table_tokens_are_ascii_digits_only(text, token):
+    # int() would take each of these; a table, like a spec, takes digits only
+    with pytest.raises(errors.MalformedTable) as exc:
+        parse_table_text(text)
+    assert str(exc.value) == f"non-integer token {token!r}"
+
+
+def test_table_integer_past_digit_limit_is_malformed():
+    with pytest.raises(errors.MalformedTable, match="^integer token has too many digits$"):
+        parse_table_text("1 " + "0" * 5_000)
+
+
+def test_table_declared_order_zero_is_not_positive():
+    with pytest.raises(errors.MalformedTable, match="^declared order 0 is not positive$"):
+        parse_table_text("0")
 
 
 def test_table_format_is_canonical():

@@ -46,6 +46,9 @@ def test_dimension_bounds():
         symq.two_torsion_set(0)
     with pytest.raises(errors.DimensionTooLarge):
         symq.two_torsion_set(21)
+    # the orbit of zero would take no search, so only the check refuses it
+    with pytest.raises(errors.DimensionTooLarge):
+        symq.transvection_orbit(21, symq.BitVector(21, 0))
 
 
 def test_orbit_of_zero_is_zero():
