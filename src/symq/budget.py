@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from .errors import SearchBudgetExceeded
+from .perms import is_int
 
 __all__ = ["DEFAULT_SEARCH_BUDGET", "SearchBudget", "resolve_budget"]
 
@@ -12,24 +13,16 @@ DEFAULT_SEARCH_BUDGET = 10_000_000
 def resolve_budget(value: int | None = None) -> int:
     """The budget `value` names, or DEFAULT_SEARCH_BUDGET when it is None.
 
-    A budget that is not an integer, or is negative, is refused with a
-    ValueError; 0 is valid and lets only search-free work finish.  As for
-    `perms.as_permutation`, digit strings and integral numbers (3.0) are
-    read as numbers, but a bool or a number that int() would change (2.7)
-    is refused.
+    A budget that is not `perms.is_int` (a bool, 3.0, "12"), or is negative,
+    is refused with a ValueError; 0 lets only search-free work finish.
     """
     if value is None:
         return DEFAULT_SEARCH_BUDGET
-    not_integer = f"node budget is not an integer: {value!r}"
-    try:
-        budget = int(value)
-    except (TypeError, ValueError, OverflowError):
-        raise ValueError(not_integer) from None
-    if isinstance(value, bool) or (value != budget and not isinstance(value, (str, bytes))):
-        raise ValueError(not_integer)
-    if budget < 0:
+    if not is_int(value):
+        raise ValueError(f"node budget is not an integer: {value!r}")
+    if value < 0:
         raise ValueError(f"node budget is negative: {value!r}")
-    return budget
+    return value
 
 
 class SearchBudget:

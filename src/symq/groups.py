@@ -23,6 +23,7 @@ from typing import Sequence
 from . import perms
 from .budget import SearchBudget
 from .errors import (
+    BadElement,
     MalformedPermutation,
     MalformedTable,
     NoIdentity,
@@ -154,11 +155,10 @@ def _check_table_shape(table: Sequence[Sequence[int]]) -> tuple[tuple[int, ...],
         if len(row) != n:
             raise MalformedTable(f"row {i} has {len(row)} entries, expected {n}")
         # a row of plain ints in range passes at C speed; any other row is
-        # checked entry by entry, which accepts an int subclass other than
-        # bool and names the first bad entry
+        # checked entry by entry by `perms.is_int`, naming the first bad one
         if not (set(map(type, row)) == {int} and min(row) >= 0 and max(row) < n):
             for j, x in enumerate(row):
-                if not isinstance(x, int) or isinstance(x, bool) or not 0 <= x < n:
+                if not perms.is_int(x) or not 0 <= x < n:
                     raise MalformedTable(f"entry ({i}, {j}) = {x!r} out of range 0..{n - 1}")
         rows.append(row)
     return tuple(rows)
@@ -256,8 +256,8 @@ def _check_build_cap(subject: str, order: int) -> None:
 
 
 def cyclic_group(n: int) -> FiniteGroup:
-    if n < 1:
-        raise UnsupportedOrder(f"cyclic group needs order >= 1, got {n}")
+    if not perms.is_int(n) or n < 1:
+        raise UnsupportedOrder(f"cyclic group needs order >= 1, got {n!r}")
     _check_build_cap("cyclic group has order", n)
     rows = [[(i + j) % n for j in range(n)] for i in range(n)]
     return _group_from_rows(rows)
@@ -269,8 +269,8 @@ def dihedral_group(m: int) -> FiniteGroup:
     Index f*m + i encodes s^f r^i; rotations come first, so the identity
     sits at index 0 and indices m..2m-1 are the m reflections.
     """
-    if m < 1:
-        raise UnsupportedOrder(f"dihedral group needs m >= 1, got {m}")
+    if not perms.is_int(m) or m < 1:
+        raise UnsupportedOrder(f"dihedral group needs m >= 1, got {m!r}")
     n = 2 * m
     _check_build_cap("dihedral group has order", n)
 
@@ -295,16 +295,16 @@ def _perm_table(elements: list[tuple[int, ...]]) -> FiniteGroup:
 
 def symmetric_group(k: int) -> FiniteGroup:
     """All permutations of k points in lexicographic order; order k!."""
-    if k < 1:
-        raise UnsupportedOrder(f"symmetric group needs k >= 1, got {k}")
+    if not perms.is_int(k) or k < 1:
+        raise UnsupportedOrder(f"symmetric group needs k >= 1, got {k!r}")
     _check_build_cap("symmetric group has order", _capped_product(range(2, k + 1)))
     return _perm_table(sorted(permutations(range(k))))
 
 
 def alternating_group(k: int) -> FiniteGroup:
     """Even permutations of k points in lexicographic order."""
-    if k < 3:
-        raise UnsupportedOrder(f"alternating group needs k >= 3, got {k}")
+    if not perms.is_int(k) or k < 3:
+        raise UnsupportedOrder(f"alternating group needs k >= 3, got {k!r}")
     _check_build_cap("alternating group has order", _capped_product(range(3, k + 1)))
     return _perm_table(sorted(p for p in permutations(range(k)) if _is_even(p)))
 
@@ -376,6 +376,11 @@ def identity_automorphism(group: FiniteGroup) -> GroupAutomorphism:
 def _check_same_group(group: FiniteGroup, aut: GroupAutomorphism) -> None:
     if aut.group != group:
         raise ValueError("automorphism belongs to a different group")
+
+
+def _check_element(group: FiniteGroup, x: int) -> None:
+    if not perms.is_int(x) or not 0 <= x < group.order:
+        raise BadElement(x, group.order)
 
 
 def validate_automorphism(

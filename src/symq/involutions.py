@@ -216,7 +216,7 @@ def exists_good_involution_galex(group: FiniteGroup, phi: GroupAutomorphism) -> 
 def rho_r(group: FiniteGroup, phi: GroupAutomorphism, r: int) -> tuple[int, ...]:
     """Left translation x -> r x for a fixed self-inverse element r: row r
     of the product table."""
-    if r not in fixed_two_torsion(group, phi):
+    if not perms.is_int(r) or r not in fixed_two_torsion(group, phi):
         raise NotFixedTwoTorsion(r)
     return group.product[r]
 

@@ -12,19 +12,19 @@ def identity_perm(n: int) -> tuple[int, ...]:
     return tuple(range(n))
 
 
+def is_int(x: object) -> bool:
+    """An int (or int subclass) but not a bool: the one rule, with no conversion,
+    for every integer a caller hands the library."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def as_permutation(seq: Iterable[int], n: int) -> tuple[int, ...]:
-    """Coerce to a tuple of ints and verify it permutes 0..n-1; digit strings
-    are read as numbers, but a bool or a number that int() would change (1.7)
-    is refused."""
-    entries = tuple(seq)
-    perm = entries
-    if not set(map(type, entries)) <= {int}:  # an all-int input skips coercion
-        try:
-            perm = tuple(map(int, entries))
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise MalformedPermutation(f"non-integer entry: {exc}") from None
-        for x, i in zip(entries, perm):
-            if isinstance(x, bool) or (x != i and not isinstance(x, (str, bytes))):
+    """The entries of `seq`, each `is_int` (a bool, 2.0 or "2" is refused), as a
+    tuple verified to permute 0..n-1."""
+    perm = tuple(seq)
+    if not set(map(type, perm)) <= {int}:  # an all-int input skips the scan
+        for x in perm:
+            if not is_int(x):
                 raise MalformedPermutation(f"non-integer entry: {x!r}")
     if len(perm) != n:
         raise MalformedPermutation(f"expected length {n}, got {len(perm)}")

@@ -21,7 +21,6 @@ from .errors import (
     NotGalexOrigin,
     NotMultiplicative,
     NotOpPreserving,
-    BadElement,
     Q1Violation,
     Q2Violation,
     Q3Violation,
@@ -31,6 +30,7 @@ from .groups import (
     GroupAutomorphism,
     OrbitPartition,
     _candidates,
+    _check_element,
     _check_same_group,
     _check_table_shape,
     _generating_set,
@@ -308,8 +308,7 @@ def affine_automorphism(
     group = origin.group
     _check_same_group(group, psi)
     validate_automorphism(group, psi.perm)
-    if not 0 <= c < group.order:
-        raise BadElement(c, group.order)
+    _check_element(group, c)
     phi = origin.perm
     if perms.gather(phi)(psi.perm) != perms.gather(psi.perm)(phi):
         raise NotCentralizing(

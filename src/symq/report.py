@@ -17,14 +17,12 @@ __all__ = ["emit_report", "emit_reports"]
 
 
 class _Rows(list):
-    """A report's good involutions: rows that each permute range(order).
+    """A report's good involutions: rows that each permute range(len(row)).
 
     `emit_reports` renders such a list from a table of the digit strings
-    of 0..order-1, which covers every entry only because the rows are the
+    of those indices, which covers every entry only because the rows are the
     analysis's own permutations and reports are read-only.
     """
-
-    __slots__ = ("order",)
 
 
 def _analysis_report(
@@ -50,9 +48,7 @@ def _analysis_report(
         lists = {} if lists is None else lists
         hit = lists.get(id(rhos))
         if hit is None:
-            rows = _Rows(map(list, rhos))
-            rows.order = result.order
-            hit = lists[id(rhos)] = rhos, rows
+            hit = lists[id(rhos)] = rhos, _Rows(map(list, rhos))
         rhos = hit[1]
     fixed = result.fixed_two_torsion
     return {
@@ -109,7 +105,7 @@ def _render_rows(rows: _Rows, syntax: tuple[str, str, str, str]) -> str:
     """The rendering of a non-empty `_Rows` list: each row is its entries'
     digit strings joined, gathered at C speed, so no int is converted."""
     head, between, sep, tail = syntax
-    digits = [str(i) for i in range(rows.order)]
+    digits = [str(i) for i in range(len(rows[0]))]
     return head + between.join([sep.join(gather(row)(digits)) for row in rows]) + tail
 
 
@@ -130,7 +126,7 @@ def emit_reports(reports: list[dict], fmt: str = "json") -> str:
     string.  `run_catalog` gives equal lists one object, so each distinct
     list of a sweep is rendered once.  A list that `_analysis_report` built
     (a `_Rows`) is rendered in one pass that joins the digit strings of
-    0..order-1, the bytes `json.dumps` and `str` give for its entries, since
+    0..n-1, n the length of a row, the bytes `json.dumps` and `str` give for its entries, since
     its rows are read-only permutations of range(order).  Every other value,
     a plain list a caller built among them, renders as `to_json` or
     `to_text` renders it.

@@ -12,19 +12,19 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .errors import BadElement, NotAbelian, SpecParseError
+from .errors import SpecParseError
 from .groups import (
     FiniteGroup,
     GroupAutomorphism,
     _capped_product,
     _check_build_cap,
+    _check_element,
     alternating_group,
     cyclic_group,
     dihedral_group,
     direct_product,
     identity_automorphism,
     inversion_automorphism,
-    is_abelian,
     quaternion_group,
     symmetric_group,
     validate_automorphism,
@@ -202,14 +202,11 @@ def parse_aut_spec(spec: str, group: FiniteGroup) -> GroupAutomorphism:
     if kind == "id":
         return identity_automorphism(group)
     if kind == "inv":
-        if not is_abelian(group):
-            raise NotAbelian("spec 'inv' requires an abelian group")
         return inversion_automorphism(group)
     if kind == "perm":
         return validate_automorphism(group, values)
     g = values[0]
-    if not 0 <= g < group.order:
-        raise BadElement(g, group.order)
+    _check_element(group, g)
     ginv = group.inverse[g]
     perm = [group.product[group.product[g][x]][ginv] for x in range(group.order)]
     return validate_automorphism(group, perm)

@@ -18,6 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import DimensionTooLarge, ModelInconsistency
+from .perms import is_int
 
 __all__ = [
     "BitVector",
@@ -82,7 +83,7 @@ class Transvection:
 
 
 def _check_dimension(n: int) -> None:
-    if not 1 <= n <= MAX_DIMENSION:
+    if not is_int(n) or not 1 <= n <= MAX_DIMENSION:
         raise DimensionTooLarge(n, MAX_DIMENSION)
 
 

@@ -48,6 +48,13 @@ def test_family_is_sorted_by_order():
     assert orders == sorted(orders)
 
 
+@pytest.mark.parametrize("max_order", [True, 3.0])
+def test_family_refuses_a_max_order_that_is_not_an_int(max_order):
+    # True would otherwise list the order-1 family
+    with pytest.raises(symq.errors.UnsupportedOrder, match=f"^catalog max order {max_order!r} "):
+        symq.catalog_family(max_order)
+
+
 def test_entry_count_max_order_four():
     # 1 + 1 + 2 + (2 + 6) automorphisms
     assert len(symq.catalog_entries(4)) == 12

@@ -225,6 +225,25 @@ def test_sq_table_input_refuses_the_closed_form_routes(tmp_path, capsys):
         assert f"{argv[1]} needs --group/--aut input" in err, argv
 
 
+def test_sq_table_input_excludes_group_and_aut(tmp_path, capsys):
+    path = tmp_path / "r3.txt"
+    write_table(path, symq.galex(
+        symq.cyclic_group(3), symq.inversion_automorphism(symq.cyclic_group(3))
+    ).op)
+    for command in ("enumerate", "classify"):
+        for flags in (
+            ("--group", "cyclic:3"), ("--aut", "inv"), ("--group", "cyclic:3", "--aut", "inv"),
+        ):
+            code, out, err = run(capsys, "sq", command, "--table", str(path), *flags)
+            assert (code, out, err) == (1, "", "error: --table excludes --group/--aut\n"), flags
+
+
+def test_sq_inv_on_a_nonabelian_group_prints_the_constructor_refusal(capsys):
+    code, out, err = run(capsys, "sq", "crosscheck", "--group", "quaternion", "--aut", "inv")
+    assert (code, out) == (1, "")
+    assert err == "error: inversion is not multiplicative on a nonabelian group\n"
+
+
 def test_sq_crosscheck_disagreement_exits_three(capsys, monkeypatch):
     import symq.cli as cli
     from dataclasses import replace

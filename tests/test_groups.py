@@ -201,6 +201,16 @@ def test_constructors_refuse_an_order_above_the_cap_before_building(build, name)
     _check_build_cap(name, 1024)
 
 
+@pytest.mark.parametrize("value", [True, 4.0, "4"])
+@pytest.mark.parametrize(
+    "build", [symq.cyclic_group, symq.dihedral_group, symq.symmetric_group, symq.alternating_group]
+)
+def test_constructors_refuse_an_order_that_is_not_an_int(build, value):
+    # True would otherwise build cyclic_group(1), and 4.0 fail inside range()
+    with pytest.raises(errors.UnsupportedOrder, match=f"got {value!r}$"):
+        build(value)
+
+
 def test_group_invariants_across_builtins(small_family):
     for label, g in small_family:
         validated = symq.validate_group(g.product)
@@ -271,14 +281,26 @@ def test_validate_automorphism_refuses_fractional_entries(perm):
         symq.validate_automorphism(symq.cyclic_group(3), perm)
 
 
-def test_as_permutation_reads_digit_strings_and_whole_numbers():
+def test_as_permutation_refuses_digit_strings_and_whole_numbers():
+    # an entry is an int that is not a bool, as in a table; nothing is
+    # converted, so "1" and 1.0 are refused like 1.7
     from symq.perms import as_permutation
 
-    assert as_permutation(["0", "1", "2"], 3) == (0, 1, 2)
-    assert as_permutation([0, 1.0, 2], 3) == (0, 1, 2)
+    for entries, bad in [
+        (["0", "1", "2"], "'0'"), ([0, 1.0, 2], "1.0"), ([0, float("inf"), 2], "inf"),
+    ]:
+        with pytest.raises(errors.MalformedPermutation, match=f"^non-integer entry: {bad}$"):
+            as_permutation(entries, 3)
     assert as_permutation(iter([2, 0, 1]), 3) == (2, 0, 1)
-    with pytest.raises(errors.MalformedPermutation, match="non-integer entry"):
-        as_permutation([0, float("inf"), 2], 3)
+
+
+def test_permutation_inputs_keep_an_int_subclass_entry_as_tables_do():
+    class Index(int):
+        pass
+
+    one = Index(1)
+    assert symq.validate_group([[0, one], [one, 0]]).product[0][1] is one
+    assert symq.validate_automorphism(symq.cyclic_group(2), [0, one]).perm[1] is one
 
 
 def test_permutation_inputs_refuse_bools():
@@ -450,9 +472,14 @@ def test_budget_refuses_a_bool_or_a_fractional_number(value):
         resolve_budget(value)
 
 
-def test_budget_reads_integral_numbers_and_digit_strings():
-    assert resolve_budget(3.0) == 3
-    assert resolve_budget("12") == 12 and SearchBudget("12").limit == 12
+def test_budget_refuses_integral_numbers_and_digit_strings():
+    c5 = symq.cyclic_group(5)
+    inv = symq.inversion_automorphism(c5)
+    for value in (3.0, "12"):
+        refusal = f"^node budget is not an integer: {value!r}$"
+        for call in (resolve_budget, SearchBudget, lambda v: symq.cross_check_sq(c5, inv, budget=v)):
+            with pytest.raises(ValueError, match=refusal):
+                call(value)
 
 
 def test_cross_check_refuses_a_bool_budget():

@@ -186,6 +186,15 @@ def test_rho_r_rejects_outsiders(z3):
         symq.rho_r(z3, inv, 1)
 
 
+def test_rho_r_refuses_an_element_that_is_not_an_int():
+    # False == 0, the identity, but False is not an element index
+    c5 = symq.cyclic_group(5)
+    inv = symq.inversion_automorphism(c5)
+    for r in (False, 0.0):
+        with pytest.raises(errors.NotFixedTwoTorsion):
+            symq.rho_r(c5, inv, r)
+
+
 def test_closed_form_r3(z3):
     inv = symq.inversion_automorphism(z3)
     found = symq.good_involutions_closed_form(z3, inv)
@@ -276,7 +285,9 @@ def test_isomorphic_refuses_a_hand_built_involution_that_is_not_good(r3, r4):
 
 
 def test_symmetric_quandle_stores_the_validated_permutation(r3):
-    a = symq.symmetric_quandle(r3, ["0", "1", "2"])
+    with pytest.raises(errors.MalformedPermutation, match="^non-integer entry: '0'$"):
+        symq.symmetric_quandle(r3, ["0", "1", "2"])
+    a = symq.symmetric_quandle(r3, iter([0, 1, 2]))
     assert a.rho == (0, 1, 2)
     b = symq.symmetric_quandle(r3, [0, 1, 2])
     assert symq.symmetric_quandle_isomorphic(a, b) is not None

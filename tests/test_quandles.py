@@ -562,6 +562,14 @@ def test_affine_negation_roundtrip(r3, z3):
     assert symq.f_sharp(r3, f).perm == neg.perm
 
 
+def test_affine_refuses_an_element_that_is_not_an_int(r3, z3):
+    # True == 1 would otherwise give the translation by element 1
+    ident = symq.identity_automorphism(z3)
+    for c in (True, 1.5, 1.0):
+        with pytest.raises(errors.BadElement, match=f"^element index {c!r} out of range"):
+            symq.affine_automorphism(r3, ident, c)
+
+
 def test_affine_rejects_non_centralizing():
     g = symq.direct_product([symq.cyclic_group(2)] * 3)
     auts = symq.enumerate_automorphisms(g)

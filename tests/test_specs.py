@@ -212,8 +212,10 @@ def test_aut_perm_doubling(z5):
 
 
 def test_aut_inv_rejects_nonabelian(d3):
-    # the spec names itself, where `inversion_automorphism` would not
-    with pytest.raises(errors.NotAbelian, match=r"^spec 'inv' requires an abelian group$"):
+    # the constructor makes the one refusal
+    with pytest.raises(
+        errors.NotAbelian, match=r"^inversion is not multiplicative on a nonabelian group$"
+    ):
         symq.parse_aut_spec("inv", d3)
 
 

@@ -51,6 +51,12 @@ def test_dimension_bounds():
         symq.transvection_orbit(21, symq.BitVector(21, 0))
 
 
+@pytest.mark.parametrize("n", [2.0, True])
+def test_dimension_that_is_not_an_int_is_refused(n):
+    with pytest.raises(errors.DimensionTooLarge, match=f"^dimension {n!r} outside"):
+        symq.torus_sq_class_count(n)
+
+
 def test_orbit_of_zero_is_zero():
     for n in (1, 2, 5):
         orbit = symq.transvection_orbit(n, symq.BitVector(n, 0))
