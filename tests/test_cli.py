@@ -1,4 +1,6 @@
+import hashlib
 import json
+import re
 import time
 
 import pytest
@@ -515,12 +517,14 @@ REPORT_KEYS = {
 }
 
 
-def test_every_quandle_report_has_the_fixed_keys(tmp_path, capsys):
+def analysis_commands(tmp_path):
+    """Every analysis subcommand on every input kind and route switch, each
+    argv reporting one quandle; the table is R3's, written under tmp_path."""
     z3 = symq.cyclic_group(3)
     table = tmp_path / "r3.txt"
     write_table(table, symq.galex(z3, symq.inversion_automorphism(z3)).op)
     pair = ("--group", "cyclic:3", "--aut", "inv")
-    commands = [
+    return [
         ("sq", "enumerate", *pair),
         ("sq", "enumerate", *pair, "--closed-form"),
         ("sq", "enumerate", "--table", str(table)),
@@ -532,7 +536,10 @@ def test_every_quandle_report_has_the_fixed_keys(tmp_path, capsys):
         ("sq", "crosscheck", "--group", "cyclic:4", "--aut", "inv"),
         ("quandle", "check", "--table", str(table)),
     ]
-    for argv in commands:
+
+
+def test_every_quandle_report_has_the_fixed_keys(tmp_path, capsys):
+    for argv in analysis_commands(tmp_path):
         assert set(run_json(capsys, *argv)) == REPORT_KEYS, argv
     code, out, _ = run(capsys, "catalog", "--max-order", "4")
     assert code == 0
@@ -540,6 +547,37 @@ def test_every_quandle_report_has_the_fixed_keys(tmp_path, capsys):
     assert reports
     for report in reports:
         assert set(report) == REPORT_KEYS, report["group_spec"]
+
+
+# sha256 over the exit code, stdout and stderr of every argv of
+# test_analysis_commands_keep_their_bytes, elapsed_ms read as 0
+ANALYSIS_COMMANDS_DIGEST = "3d9883c92e66803cb5a2991234de5257d6f3ea18be10ab8d18f9620b84de4e17"
+
+
+def test_analysis_commands_keep_their_bytes(tmp_path, capsys):
+    # every analysis report in both formats, among them the closed form's
+    # note, and each refusal of the analysis subcommands: the input checks,
+    # the route switches on table input (exit 1), the closed form on a
+    # disconnected kei (exit 2) and a budget hit (exit 1)
+    commands = analysis_commands(tmp_path)
+    table = commands[2][-1]
+    refusals = [
+        ("sq", "enumerate", "--table", table, "--closed-form"),
+        ("sq", "classify", "--table", table, "--theorem"),
+        ("sq", "enumerate", "--group", "cyclic:4", "--aut", "inv", "--closed-form"),
+        ("sq", "enumerate", "--table", table, "--group", "cyclic:3"),
+        ("sq", "classify", "--table", table, "--aut", "inv"),
+        ("sq", "enumerate", "--group", "cyclic:3"),
+        ("sq", "classify", "--group", "cyclic:3"),
+        ("sq", "crosscheck", "--group", "cyclic:3"),
+        ("sq", "crosscheck", "--group", "alternating:5", "--aut", "id", "--budget", "1000"),
+    ]
+    digest = hashlib.sha256()
+    for argv in [(*argv, "--format", fmt) for argv in commands for fmt in ("json", "text")] + refusals:
+        code, out, err = run(capsys, *argv)
+        out = re.sub(r'(elapsed_ms"?: ?)[0-9]+', r"\g<1>0", out)
+        digest.update(f"{argv[:2]} {code}\n{out}\n{err}\n".encode())
+    assert digest.hexdigest() == ANALYSIS_COMMANDS_DIGEST
 
 
 def test_catalog_stream_round_trips_byte_identical(capsys):
