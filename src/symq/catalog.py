@@ -19,7 +19,7 @@ from .groups import (
     FiniteGroup, GroupAutomorphism, _check_build_cap, enumerate_automorphisms
 )
 from .involutions import SqClassification, _analyze
-from .perms import is_int
+from .perms import int_fault, is_int
 from .quandles import galex
 from .report import _analysis_report
 from .specs import build_group
@@ -71,7 +71,8 @@ def catalog_family(
 ) -> list[tuple[str, FiniteGroup]]:
     """Deterministic (label, group) list for the sweep, ascending by order."""
     if not is_int(max_order) or max_order < 1:
-        raise UnsupportedOrder(f"catalog max order {max_order!r} is below 1")
+        fault = int_fault(max_order, "is below 1")
+        raise UnsupportedOrder(f"catalog max order {max_order!r} {fault}")
     _check_build_cap(f"catalog max order {max_order} is", max_order)
     labels: list[str] = []
     for order in range(1, max_order + 1):

@@ -51,13 +51,6 @@ def _galex_from_args(args):
     return galex(group, parse_aut_spec(args.aut, group))
 
 
-def _write_report(args, result, start: float) -> None:
-    """Serialize one analysis; the group spec is null for table input."""
-    elapsed_ms = int((time.monotonic() - start) * 1000)
-    report = _analysis_report(result, getattr(args, "group", None), elapsed_ms)
-    _write(emit_report(report, args.format), args.out)
-
-
 def cmd_group_build(args) -> int:
     group = build_group(args.group)
     _write(format_table(group.product), args.out)
@@ -85,62 +78,33 @@ def cmd_quandle_galex(args) -> int:
     return 0
 
 
-def cmd_quandle_check(args) -> int:
+def cmd_analyze(args) -> int:
+    """`quandle check` and the `sq` subcommands: load one quandle, run the
+    subcommand's routes on it and write its report.  `theorem_flag` holds
+    the name of the switch that swaps the oracle for the theorem route."""
     start = time.monotonic()
-    q = validate_quandle(read_table(args.table))
-    # no route runs, so no search node may be spent
-    _write_report(args, _analyze(q, SearchBudget(0)), start)
-    return 0
-
-
-def _load_quandle(args):
-    """The quandle of a (group, aut) pair, which records its origin, or of a table."""
-    if args.table is not None:
-        if args.group is not None or args.aut is not None:
-            raise _UsageError("--table excludes --group/--aut")
-        return validate_quandle(read_table(args.table))
-    if args.group is None or args.aut is None:
-        raise _UsageError("need --group and --aut, or --table")
-    return _galex_from_args(args)
-
-
-def cmd_sq_enumerate(args) -> int:
-    start = time.monotonic()
-    q = _load_quandle(args)
-    if args.closed_form:
-        if q.origin is None:
-            raise _UsageError("--closed-form needs --group/--aut input")
-        result = _analyze(q, SearchBudget(args.budget), theorem=True)
-        result = replace(
-            result,
-            notes=("closed form: left translations by fixed self-inverse elements",),
-        )
+    if args.table is None:
+        if args.group is None or args.aut is None:
+            raise _UsageError("need --group and --aut, or --table")
+        q = _galex_from_args(args)
+    elif args.group is not None or args.aut is not None:
+        raise _UsageError("--table excludes --group/--aut")
     else:
-        result = _analyze(q, SearchBudget(args.budget), oracle=True)
-    _write_report(args, result, start)
-    return 0
-
-
-def cmd_sq_classify(args) -> int:
-    start = time.monotonic()
-    q = _load_quandle(args)
-    if args.theorem and q.origin is None:
-        raise _UsageError("--theorem needs --group/--aut input")
-    result = _analyze(
-        q, SearchBudget(args.budget), oracle=not args.theorem, theorem=args.theorem,
-        classify=True,
-    )
-    _write_report(args, result, start)
-    return 0
-
-
-def cmd_sq_crosscheck(args) -> int:
-    start = time.monotonic()
-    q = _galex_from_args(args)
-    result = _analyze(
-        q, SearchBudget(args.budget), oracle=True, theorem=True, classify=True
-    )
-    _write_report(args, result, start)
+        q = validate_quandle(read_table(args.table))
+    routes = set(args.routes)
+    if args.theorem_flag:
+        if q.origin is None:
+            raise _UsageError(f"{args.theorem_flag} needs --group/--aut input")
+        routes = routes - {"oracle"} | {"theorem"}
+    result = _analyze(q, SearchBudget(args.budget), **dict.fromkeys(routes, True))
+    if args.theorem_flag and "classify" not in routes:
+        # the theorem route's list alone: the report says how it was made
+        result = replace(
+            result, notes=("closed form: left translations by fixed self-inverse elements",)
+        )
+    elapsed_ms = int((time.monotonic() - start) * 1000)
+    report = _analysis_report(result, args.group, elapsed_ms)
+    _write(emit_report(report, args.format), args.out)
     if result.agreement is False:
         sys.stderr.write("classification routes disagree\n")
         return 3
@@ -168,19 +132,23 @@ def cmd_torus(args) -> int:
     return 0
 
 
-def _add_common(parser, *, budget=False, fmt=True, out=True):
+def _add_common(parser, *, budget=False, fmt=True):
     if budget:
         parser.add_argument("--budget", type=int, default=None, metavar="NODES")
     if fmt:
         parser.add_argument("--format", choices=tuple(_FORMATS), default="json")
-    if out:
-        parser.add_argument("--out", default=None, metavar="PATH")
+    parser.add_argument("--out", default=None, metavar="PATH")
 
 
-def _add_quandle_inputs(parser):
+def _add_quandle_inputs(parser, switch: str, help: str):
+    """A (group, aut) pair or a table, and the switch to the theorem route,
+    which stores its own name for the refusal of table input."""
     parser.add_argument("--group", default=None, metavar="SPEC")
     parser.add_argument("--aut", default=None, metavar="SPEC")
     parser.add_argument("--table", default=None, metavar="PATH")
+    parser.add_argument(
+        switch, action="store_const", const=switch, dest="theorem_flag", help=help
+    )
 
 
 def build_parser() -> _Parser:
@@ -211,33 +179,31 @@ def build_parser() -> _Parser:
     q_check = qsub.add_parser("check", help="validate the quandle axioms")
     q_check.add_argument("--table", required=True, metavar="PATH")
     _add_common(q_check)
-    q_check.set_defaults(func=cmd_quandle_check)
+    # no route runs, so no search node may be spent
+    q_check.set_defaults(
+        func=cmd_analyze, routes=(), budget=0, group=None, aut=None, theorem_flag=None
+    )
 
     sq = sub.add_parser("sq", help="good involutions and their classes")
     ssub = sq.add_subparsers(dest="subcommand", required=True)
     s_enum = ssub.add_parser("enumerate", help="list all good involutions")
-    _add_quandle_inputs(s_enum)
-    s_enum.add_argument(
-        "--closed-form",
-        action="store_true",
-        help="use the translation description (connected keis only)",
+    _add_quandle_inputs(
+        s_enum, "--closed-form", help="use the translation description (connected keis only)"
     )
     _add_common(s_enum, budget=True)
-    s_enum.set_defaults(func=cmd_sq_enumerate)
+    s_enum.set_defaults(func=cmd_analyze, routes=("oracle",))
     s_cls = ssub.add_parser("classify", help="partition involutions into classes")
-    _add_quandle_inputs(s_cls)
-    s_cls.add_argument(
-        "--theorem",
-        action="store_true",
-        help="use centralizer orbits (connected keis only)",
-    )
+    _add_quandle_inputs(s_cls, "--theorem", help="use centralizer orbits (connected keis only)")
     _add_common(s_cls, budget=True)
-    s_cls.set_defaults(func=cmd_sq_classify)
+    s_cls.set_defaults(func=cmd_analyze, routes=("oracle", "classify"))
     s_cross = ssub.add_parser("crosscheck", help="run both routes and compare")
     s_cross.add_argument("--group", required=True, metavar="SPEC")
     s_cross.add_argument("--aut", required=True, metavar="SPEC")
     _add_common(s_cross, budget=True)
-    s_cross.set_defaults(func=cmd_sq_crosscheck)
+    s_cross.set_defaults(
+        func=cmd_analyze, routes=("oracle", "theorem", "classify"), table=None,
+        theorem_flag=None,
+    )
 
     cat = sub.add_parser("catalog", help="sweep small groups and cross-check")
     cat.add_argument("--max-order", type=int, default=12, metavar="N")

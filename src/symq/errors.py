@@ -138,8 +138,11 @@ class HypothesisNotMet(SymqError):
 
 class BadElement(SymqError):
     def __init__(self, element: int, order: int):
+        from .perms import int_fault  # perms imports this module
+
         self.element = element
-        super().__init__(f"element index {element} out of range 0..{order - 1}")
+        fault = int_fault(element, f"out of range 0..{order - 1}")
+        super().__init__(f"element index {element} {fault}")
 
 
 # -- search control -----------------------------------------------------------
@@ -168,7 +171,10 @@ class UnsupportedOrder(SymqError):
 
 class DimensionTooLarge(SymqError):
     def __init__(self, n: int, cap: int):
-        super().__init__(f"dimension {n} outside supported range 1..{cap}")
+        from .perms import int_fault  # perms imports this module
+
+        fault = int_fault(n, f"outside supported range 1..{cap}")
+        super().__init__(f"dimension {n} {fault}")
 
 
 # -- cross-checks -------------------------------------------------------------

@@ -159,7 +159,8 @@ def _check_table_shape(table: Sequence[Sequence[int]]) -> tuple[tuple[int, ...],
         if not (set(map(type, row)) == {int} and min(row) >= 0 and max(row) < n):
             for j, x in enumerate(row):
                 if not perms.is_int(x) or not 0 <= x < n:
-                    raise MalformedTable(f"entry ({i}, {j}) = {x!r} out of range 0..{n - 1}")
+                    fault = perms.int_fault(x, f"out of range 0..{n - 1}")
+                    raise MalformedTable(f"entry ({i}, {j}) = {x!r} {fault}")
         rows.append(row)
     return tuple(rows)
 

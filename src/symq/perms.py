@@ -18,6 +18,12 @@ def is_int(x: object) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
 
 
+def int_fault(x: object, fault: str) -> str:
+    """What a refusal says of `x`: `fault`, the wording for an int, when `x`
+    is_int, and "is not an integer" otherwise."""
+    return fault if is_int(x) else "is not an integer"
+
+
 def as_permutation(seq: Iterable[int], n: int) -> tuple[int, ...]:
     """The entries of `seq`, each `is_int` (a bool, 2.0 or "2" is refused), as a
     tuple verified to permute 0..n-1."""

@@ -39,7 +39,8 @@ def _analysis_report(
     between them.  `_analyze` gives every repeat of a table one tuple, so
     the tuples are never hashed.  `emit_reports` renders a `_Rows` list
     from a digit table, which relies on the rows being read-only; any other
-    value, a list a caller built among them, renders through `json.dumps`.
+    value, a list a caller built among them, is rendered whole by `to_json`
+    or `to_text`.
     """
     known = result.orbit_count is not None
     witness = result.kei_witness
@@ -70,12 +71,8 @@ def _analysis_report(
     }
 
 
-def _json_value(value) -> str:
-    return json.dumps(value, sort_keys=True, separators=(",", ":"))
-
-
 def to_json(report: dict) -> str:
-    return _json_value(report) + "\n"
+    return json.dumps(report, sort_keys=True, separators=(",", ":")) + "\n"
 
 
 def _render_value(value) -> str:
@@ -91,13 +88,12 @@ def to_text(report: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
-# per format: report renderer, value renderer, the rendering of a null
-# good_involutions, the text between two reports of a stream, and the text
-# that opens a `_Rows` list, parts two rows, parts two entries of a row and
-# closes the list
+# per format: report renderer, the rendering of a null good_involutions,
+# the text between two reports of a stream, and the text that opens a
+# `_Rows` list, parts two rows, parts two entries of a row and closes the list
 _FORMATS = {
-    "json": (to_json, _json_value, '"good_involutions":null', "", ("[[", "],[", ",", "]]")),
-    "text": (to_text, _render_value, "good_involutions: null", "\n", ("\n  ", "\n  ", " ", "")),
+    "json": (to_json, '"good_involutions":null', "", ("[[", "],[", ",", "]]")),
+    "text": (to_text, "good_involutions: null", "\n", ("\n  ", "\n  ", " ", "")),
 }
 
 
@@ -117,41 +113,36 @@ def emit_report(report: dict, fmt: str = "json") -> str:
 def emit_reports(reports: list[dict], fmt: str = "json") -> str:
     """Render a report stream: JSON lines, or text blocks split by blank lines.
 
-    The bytes are those of `to_json` or `to_text` on each report in turn,
-    but each `good_involutions` list object is rendered once, however many
-    reports hold it: a report is rendered with that field null, and the
+    The bytes are those of `to_json` or `to_text` on each report in turn.
+    A report whose `good_involutions` is a non-empty `_Rows` list, which
+    `_analysis_report` built, is rendered with that field null, and the
     list's rendering is spliced into the first null slot of the field.
     That slot is the field's own, since every key that sorts before it in a
     report (agreement, automorphism, elapsed_ms, fixed_two_torsion) holds no
-    string.  `run_catalog` gives equal lists one object, so each distinct
-    list of a sweep is rendered once.  A list that `_analysis_report` built
-    (a `_Rows`) is rendered in one pass that joins the digit strings of
-    0..n-1, n the length of a row, the bytes `json.dumps` and `str` give for its entries, since
-    its rows are read-only permutations of range(order).  Every other value,
-    a plain list a caller built among them, renders as `to_json` or
-    `to_text` renders it.
+    string.  Each `_Rows` object is rendered once, however many reports
+    hold it (`run_catalog` gives equal lists one object), in one pass that
+    joins the digit strings of 0..n-1, n the length of a row: the bytes
+    `json.dumps` and `str` give for its entries, since its rows are
+    read-only permutations of range(order).  Every other report, an empty
+    list or one a caller built among them, is rendered whole.
     """
     try:
-        render, render_value, slot, sep, syntax = _FORMATS[fmt]  # an empty stream checks fmt too
+        render, slot, sep, syntax = _FORMATS[fmt]  # an empty stream checks fmt too
     except KeyError:
         raise ValueError(f"unknown format {fmt!r}") from None
     cut = len(slot) - len("null")
-    rendered = {}  # id of a list -> its rendering; `reports` keeps each list alive
+    rendered = {}  # id of a `_Rows` list -> its rendering; `reports` keeps each alive
     pieces = []
     for i, report in enumerate(reports):
         if i:
             pieces.append(sep)
         rhos = report.get("good_involutions")
-        if not isinstance(rhos, list):
+        if type(rhos) is not _Rows or not rhos:
             pieces.append(render(report))
             continue
         value = rendered.get(id(rhos))
         if value is None:
-            if type(rhos) is _Rows and rhos:
-                value = _render_rows(rhos, syntax)
-            else:
-                value = render_value(rhos)
-            rendered[id(rhos)] = value
+            value = rendered[id(rhos)] = _render_rows(rhos, syntax)
         text = render({**report, "good_involutions": None})
         at = text.index(slot)
         pieces += (text[: at + cut], value, text[at + len(slot):])

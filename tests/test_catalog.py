@@ -51,7 +51,8 @@ def test_family_is_sorted_by_order():
 @pytest.mark.parametrize("max_order", [True, 3.0])
 def test_family_refuses_a_max_order_that_is_not_an_int(max_order):
     # True would otherwise list the order-1 family
-    with pytest.raises(symq.errors.UnsupportedOrder, match=f"^catalog max order {max_order!r} "):
+    refusal = f"^catalog max order {max_order!r} is not an integer$"
+    with pytest.raises(symq.errors.UnsupportedOrder, match=refusal):
         symq.catalog_family(max_order)
 
 

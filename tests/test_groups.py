@@ -79,9 +79,9 @@ def test_malformed_tables():
 @pytest.mark.parametrize("table, message", [
     ([[0, 1], [1, 2]], "entry (1, 1) = 2 out of range 0..1"),
     ([[0, 1], [-1, 0]], "entry (1, 0) = -1 out of range 0..1"),
-    ([[0, True], [1, 0]], "entry (0, 1) = True out of range 0..1"),
-    ([[0, 1.0], [1, 0]], "entry (0, 1) = 1.0 out of range 0..1"),
-    ([[0, "1"], [1, 0]], "entry (0, 1) = '1' out of range 0..1"),
+    ([[0, True], [1, 0]], "entry (0, 1) = True is not an integer"),
+    ([[0, 1.0], [1, 0]], "entry (0, 1) = 1.0 is not an integer"),
+    ([[0, "1"], [1, 0]], "entry (0, 1) = '1' is not an integer"),
     ([[0, 1, 2], [1, 7, -1], [2, 0, 1]], "entry (1, 1) = 7 out of range 0..2"),
     ([[0, 1, 3], [1, 0], [2, 0, 1]], "entry (0, 2) = 3 out of range 0..2"),
     ([[0, 1, 2], [1, 0], [2, 0, 1]], "row 1 has 2 entries, expected 3"),
