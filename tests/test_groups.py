@@ -1,3 +1,4 @@
+import hashlib
 import pickle
 import time
 from functools import partial
@@ -18,6 +19,7 @@ from reference import (
     involutions,
     orbits_by_union_find,
     run_with_exact_budget,
+    write_table,
 )
 
 # Latin square with identity 0 and two-sided inverses that is not associative.
@@ -167,6 +169,33 @@ def test_permutation_tables_compose_point_by_point():
             assert group.product == tuple(
                 tuple(index[compose(p, q)] for q in elements) for p in elements
             ), (k, group.order)
+
+
+# sha256 over repr((order, product, identity, inverse)) of every group that
+# test_constructors_keep_their_groups builds, in its order
+GROUPS_DIGEST = "bd6db6e3637940bfde7110795c89931a2f031d67919794be346e4e092eda8742"
+
+
+def test_constructors_keep_their_groups(tmp_path):
+    # every built-in kind, the catalog's groups, a three-factor product and a
+    # product with a file factor: D3 relabelled x -> x + 4 mod 6, so its
+    # identity sits at index 4 and the product's at index 12
+    d3 = symq.dihedral_group(3)
+    moved = [[0] * 6 for _ in range(6)]
+    for a in range(6):
+        for b in range(6):
+            moved[(a + 4) % 6][(b + 4) % 6] = (d3.product[a][b] + 4) % 6
+    path = tmp_path / "d3_moved.txt"
+    write_table(path, moved)
+    specs = [label for label, _ in symq.catalog_family(12, include_extras=True)]
+    specs += ["quaternion", "symmetric:5", "alternating:5", "alternating:6", "dihedral:7"]
+    specs += ["product:cyclic:2,dihedral:3,quaternion", f"product:file:{path},cyclic:3"]
+    digest = hashlib.sha256()
+    for spec in specs:
+        g = symq.build_group(spec)
+        digest.update(repr((g.order, g.product, g.identity, g.inverse)).encode())
+    assert g.identity == 12
+    assert digest.hexdigest() == GROUPS_DIGEST
 
 
 def test_direct_product_needs_two_factors():
