@@ -121,10 +121,11 @@ class NotCentralizing(SymqError):
 
 class NotFixedTwoTorsion(SymqError):
     def __init__(self, element: int):
+        from .perms import int_fault  # perms imports this module
+
         self.element = element
-        super().__init__(
-            f"element {element} is not a fixed self-inverse element"
-        )
+        fault = int_fault(element, "is not a fixed self-inverse element")
+        super().__init__(f"element {element} {fault}")
 
 
 class HypothesisNotMet(SymqError):

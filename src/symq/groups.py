@@ -59,7 +59,7 @@ __all__ = [
 
 @dataclass(frozen=True)
 class FiniteGroup:
-    """Order-n group: multiplication table, identity index, inverse table."""
+    """Order-n group as `validate_group` makes it: table, identity, inverses."""
 
     order: int
     product: tuple[tuple[int, ...], ...]
@@ -224,16 +224,6 @@ def validate_group(product_table: Sequence[Sequence[int]]) -> FiniteGroup:
 
 # -- constructors ---------------------------------------------------------------
 
-def _group_from_rows(rows: list[list[int]]) -> FiniteGroup:
-    """The group of a table whose identity is index 0."""
-    return FiniteGroup(
-        order=len(rows),
-        product=tuple(tuple(row) for row in rows),
-        identity=0,
-        inverse=tuple(row.index(0) for row in rows),
-    )
-
-
 # Guard against materializing a table too large to be useful; everything
 # downstream is desk-scale anyway.
 MAX_BUILT_ORDER = 1024
@@ -256,12 +246,20 @@ def _check_build_cap(subject: str, order: int) -> None:
         raise UnsupportedOrder(f"{subject} above the build cap of {MAX_BUILT_ORDER}")
 
 
+def _check_least(subject: str, name: str, value: object, least: int) -> None:
+    """Refuse `value` as the `name` of what `subject` names unless it is an int
+    of at least `least`; `perms.int_fault` words a value that is no int."""
+    if not perms.is_int(value) or value < least:
+        named = subject if perms.is_int(value) else f"{subject} {name} {value!r}"
+        fault = perms.int_fault(value, f"needs {name} >= {least}, got {value!r}")
+        raise UnsupportedOrder(f"{named} {fault}")
+
+
 def cyclic_group(n: int) -> FiniteGroup:
-    if not perms.is_int(n) or n < 1:
-        raise UnsupportedOrder(f"cyclic group needs order >= 1, got {n!r}")
+    _check_least("cyclic group", "order", n, 1)
     _check_build_cap("cyclic group has order", n)
     rows = [[(i + j) % n for j in range(n)] for i in range(n)]
-    return _group_from_rows(rows)
+    return validate_group(rows)
 
 
 def dihedral_group(m: int) -> FiniteGroup:
@@ -270,8 +268,7 @@ def dihedral_group(m: int) -> FiniteGroup:
     Index f*m + i encodes s^f r^i; rotations come first, so the identity
     sits at index 0 and indices m..2m-1 are the m reflections.
     """
-    if not perms.is_int(m) or m < 1:
-        raise UnsupportedOrder(f"dihedral group needs m >= 1, got {m!r}")
+    _check_least("dihedral group", "m", m, 1)
     n = 2 * m
     _check_build_cap("dihedral group has order", n)
 
@@ -283,7 +280,7 @@ def dihedral_group(m: int) -> FiniteGroup:
         return (f1 ^ 1) * m + (i2 - i1) % m
 
     rows = [[mul(a, b) for b in range(n)] for a in range(n)]
-    return _group_from_rows(rows)
+    return validate_group(rows)
 
 
 def _perm_table(elements: list[tuple[int, ...]]) -> FiniteGroup:
@@ -291,21 +288,19 @@ def _perm_table(elements: list[tuple[int, ...]]) -> FiniteGroup:
     index = {p: i for i, p in enumerate(elements)}
     after = [perms.gather(q) for q in elements]
     rows = [[index[by_q(p)] for by_q in after] for p in elements]
-    return _group_from_rows(rows)
+    return validate_group(rows)
 
 
 def symmetric_group(k: int) -> FiniteGroup:
     """All permutations of k points in lexicographic order; order k!."""
-    if not perms.is_int(k) or k < 1:
-        raise UnsupportedOrder(f"symmetric group needs k >= 1, got {k!r}")
+    _check_least("symmetric group", "k", k, 1)
     _check_build_cap("symmetric group has order", _capped_product(range(2, k + 1)))
     return _perm_table(sorted(permutations(range(k))))
 
 
 def alternating_group(k: int) -> FiniteGroup:
     """Even permutations of k points in lexicographic order."""
-    if not perms.is_int(k) or k < 3:
-        raise UnsupportedOrder(f"alternating group needs k >= 3, got {k!r}")
+    _check_least("alternating group", "k", k, 3)
     _check_build_cap("alternating group has order", _capped_product(range(3, k + 1)))
     return _perm_table(sorted(p for p in permutations(range(k)) if _is_even(p)))
 
@@ -327,7 +322,7 @@ def quaternion_group() -> FiniteGroup:
         return (i1 - i2 + 2) % 4
 
     rows = [[mul(a, b) for b in range(8)] for a in range(8)]
-    return _group_from_rows(rows)
+    return validate_group(rows)
 
 
 def direct_product(factors: Sequence[FiniteGroup]) -> FiniteGroup:
@@ -335,25 +330,13 @@ def direct_product(factors: Sequence[FiniteGroup]) -> FiniteGroup:
     if len(factors) < 2:
         raise UnsupportedOrder("direct product needs at least two factors")
     _check_build_cap("direct product has order", _capped_product(f.order for f in factors))
-    group = factors[0]
+    table = factors[0].product
     for rhs in factors[1:]:
-        group = _product_of_two(group, rhs)
-    return group
-
-
-def _product_of_two(g1: FiniteGroup, g2: FiniteGroup) -> FiniteGroup:
-    # identity and inverses from the factors: a file table's identity may sit anywhere
-    n2 = g2.order
-    pairs = [divmod(x, n2) for x in range(g1.order * n2)]
-    return FiniteGroup(
-        order=len(pairs),
-        product=tuple(
-            tuple(g1.product[a1][b1] * n2 + g2.product[a2][b2] for b1, b2 in pairs)
-            for a1, a2 in pairs
-        ),
-        identity=g1.identity * n2 + g2.identity,
-        inverse=tuple(g1.inverse[a1] * n2 + g2.inverse[a2] for a1, a2 in pairs),
-    )
+        n2 = rhs.order
+        pairs = [divmod(x, n2) for x in range(len(table) * n2)]
+        table = [[table[a1][b1] * n2 + rhs.product[a2][b2] for b1, b2 in pairs]
+                 for a1, a2 in pairs]
+    return validate_group(table)
 
 
 # -- predicates and automorphisms ---------------------------------------------

@@ -483,9 +483,11 @@ def _analyze(
     hypotheses fail it raises HypothesisNotMet if it was asked for alone
     and is skipped with a note beside the oracle.  Without the oracle the
     translations are checked against the definition, with it against the
-    oracle's list.  `classify` partitions the lists the routes produced and,
-    with both routes, decides agreement.  Every search charges `budget`, and
-    the SearchBudgetExceeded of the search that runs out reaches the caller.
+    oracle's list; the theorem route alone, without `classify`, notes that
+    its list is the closed form.  `classify` partitions the lists the routes
+    produced and, with both routes, decides agreement.  Every search charges
+    `budget`, and the SearchBudgetExceeded of the search that runs out
+    reaches the caller.
 
     `reuse` is a dict that a caller passing the same routes to many quandles
     keeps across the calls.  It maps an op table to the involution tuple, the
@@ -544,6 +546,9 @@ def _analyze(
                     tuple(sorted(index.get(product[r], -1) for r in cls))
                     for cls in classes
                 }
+    notes = () if failure is None else (f"{failure[1]}: {failure[2]}",)
+    if theorem and not (oracle or classify):
+        notes = ("closed form: left translations by fixed self-inverse elements",)
     return SqClassification(
         order=q.order,
         origin=origin,
@@ -551,7 +556,7 @@ def _analyze(
         classes_bruteforce=brute,
         classes_theorem=classes,
         agreement=agreement,
-        notes=() if failure is None else (f"{failure[1]}: {failure[2]}",),
+        notes=notes,
         kei_witness=witness,
         orbit_count=orbits.count,
         fixed_two_torsion=fixed,

@@ -144,12 +144,12 @@ def galex(group: FiniteGroup, phi: GroupAutomorphism) -> FiniteQuandle:
     """Twisted-conjugation quandle on a group: x ^ y = phi(x) phi(y^-1) y.
 
     The inverse operation is x ^ (y^-1) = phi^-1(x) phi^-1(y^-1) y, the unique
-    column inverse the axioms admit.  By the associativity that every group
-    constructor and `validate_group` guarantee, row x of op is row phi(x) of
-    the product gathered at c_y = phi(y^-1) y, and row x of inv_op is row
-    phi^-1(x) gathered at d_y = phi^-1(y^-1) y.  phi, a plain container, is
-    validated first, and the two tables are checked to invert each other
-    column by column.  `validate_automorphism` checks phi(g x) =
+    column inverse the axioms admit.  Every FiniteGroup is made by
+    `validate_group`, which certifies associativity; by it, row x of op is
+    row phi(x) of the product gathered at c_y = phi(y^-1) y, and row x of
+    inv_op is row phi^-1(x) gathered at d_y = phi^-1(y^-1) y.  phi, a plain
+    container, is validated first, and the two tables are checked to invert
+    each other column by column.  `validate_automorphism` checks phi(g x) =
     phi(g) phi(x) on the rows of the group's generators alone, which
     decides it for every row: the g that pass are closed under the product
     (phi((ab)x) = phi(a) phi(bx) = phi(a) phi(b) phi(x) = phi(ab) phi(x)),

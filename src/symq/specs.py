@@ -170,9 +170,9 @@ def _realize(spec: GroupSpec) -> FiniteGroup:
 
 
 def build_group(spec: str | GroupSpec) -> FiniteGroup:
-    """Build the group a spec string names; file-loaded tables keep their
-    identity wherever it sits, products pack their factors' identities, and
-    every other built-in constructor puts it at index 0."""
+    """Build the group a spec string names, certified by `validate_group`: a
+    file table's identity sits wherever the file puts it, a product's packs
+    its factors' identities, and every other constructor's is index 0."""
     parsed = parse_group_spec(spec) if isinstance(spec, str) else spec
     _check_build_cap(f"spec {parsed.raw!r} names a group of order", _spec_order(parsed))
     return _realize(parsed)

@@ -62,26 +62,31 @@ def test_group_check(capsys):
 
 
 def test_group_check_validates_a_file_table_once(tmp_path, capsys, monkeypatch):
-    # the cubic associativity check runs once per table: in build_group for
-    # a file table, in the command for a built-in spec
-    import symq.cli as cli
+    # the cubic associativity check runs once per table, where the table is
+    # made: in build_group for a file table, in the constructor for a
+    # built-in one, and for a product in each factor's constructor and then
+    # once on the product's table; the command adds no check of its own
+    import symq.groups as groups
     import symq.specs as specs
 
+    path = tmp_path / "z5.txt"
+    write_table(path, symq.cyclic_group(5).product)
     calls = []
 
     def counting(table):
         calls.append(len(table))
         return symq.validate_group(table)
 
-    monkeypatch.setattr(cli, "validate_group", counting)
+    monkeypatch.setattr(groups, "validate_group", counting)
     monkeypatch.setattr(specs, "validate_group", counting)
-    path = tmp_path / "z5.txt"
-    write_table(path, symq.cyclic_group(5).product)
     report = run_json(capsys, "group", "check", "--group", f"file:{path}")
     assert report["order"] == 5 and calls == [5]
     calls.clear()
     report = run_json(capsys, "group", "check", "--group", "dihedral:3")
     assert report["order"] == 6 and calls == [6]
+    calls.clear()
+    report = run_json(capsys, "group", "check", "--group", "product:cyclic:2,dihedral:3")
+    assert report["order"] == 12 and calls == [2, 6, 12]
 
 
 def test_group_parse_error_exit_code(capsys):

@@ -191,8 +191,9 @@ def test_rho_r_refuses_an_element_that_is_not_an_int():
     c5 = symq.cyclic_group(5)
     inv = symq.inversion_automorphism(c5)
     for r in (False, 0.0):
-        with pytest.raises(errors.NotFixedTwoTorsion):
+        with pytest.raises(errors.NotFixedTwoTorsion) as exc:
             symq.rho_r(c5, inv, r)
+        assert str(exc.value) == f"element {r} is not an integer"
 
 
 def test_closed_form_r3(z3):
